@@ -40,6 +40,7 @@ from .quantum import (
     operator_split_joint_distribution,
     random_state,
 )
+from .spectral import group_by_gap
 
 STATE_NORM_SLACK = 1e-6
 VERIFY_SEED = 20260810
@@ -51,6 +52,13 @@ class ValidationFailure(Exception):
 
 def _fail(msg: str) -> ValidationFailure:
     return ValidationFailure(msg)
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise _fail(f"{what} must be a number, got {value!r}")
 
 
 def _load_json(path: str) -> dict:
@@ -119,18 +127,18 @@ class Scenario:
                 raise _fail("kbar mode needs a loopy-complete global graph whose "
                             "rows all equal q")
         times = data.get("times", [])
-        if not times:
+        if not isinstance(times, list) or not times:
             raise _fail("scenario needs a nonempty 'times' grid")
-        self.times = [float(t) for t in times]
+        self.times = [_number(t, "times entry") for t in times]
         if not all(np.isfinite(self.times)):
             raise _fail("times must be finite")
         self.psi_global = parse_state(data["psi_H"], "psi_H") if "psi_H" in data else None
         self.psi_locals = [parse_state(p, f"psi_locals[{j}]")
                            for j, p in enumerate(data.get("psi_locals", []))]
         self.p = data.get("p")
-        if self.p is not None and not 0.0 <= float(self.p) <= 1.0:
+        if self.p is not None and not 0.0 <= _number(self.p, "p") <= 1.0:
             raise _fail(f"p must lie in [0, 1], got {self.p}")
-        self.grouping_tol = float(data.get("tol", 1e-9))
+        self.grouping_tol = _number(data.get("tol", 1e-9), "tol")
         self.convention = convention_override or data.get("convention", "destination")
         if self.convention not in ("destination", "source"):
             raise _fail(f"unknown selection convention {self.convention!r}")
@@ -372,10 +380,11 @@ def cmd_spectra(scenario: Scenario, cap: int) -> int:
         out["graphs"].append({
             "name": name,
             "values": data.system.values.tolist(),
-            "groups": [list(g) for g in data.system.groups],
+            "groups": group_by_gap(data.system.values, scenario.grouping_tol),
         })
     if model.dimension <= cap:
-        assembly = assemble_hamiltonian(scenario.global_hamiltonian(), scenario.local_systems())
+        assembly = assemble_hamiltonian(scenario.global_hamiltonian(), scenario.local_systems(),
+                                        tol=scenario.grouping_tol)
         out["tuples"] = [
             {"labels": list(labels), "values": assembly.block_values[i].tolist()}
             for i, labels in enumerate(assembly.tuples())

@@ -19,7 +19,6 @@ local eigenlabels, which is what every function below exploits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,15 @@ from .errors import (
     NotReversible,
 )
 from .graphs import GraphModel, normalized_laplacian, prepare_walk, verify_detailed_balance
-from .spectral import EigenSystem, TransitionSpectrum, eigh, transition_spectrum
+from .spectral import (
+    EigenSystem,
+    TransitionSpectrum,
+    _eigh_stack,
+    _khatri_rao,
+    _tuple_table,
+    eigh,
+    transition_spectrum,
+)
 
 DENSE_CAP = 4096
 DEFECT_TOL = 1e-8
@@ -222,40 +229,44 @@ def hdtrw_eigenpairs(model: HierarchicalModel, convention: str = "destination",
     eigenvectors is returned, so the pair set is incomplete in that case.
     """
     P_H = model.global_walk.graph.transition
-    d1 = model.branching
+    lam = _tuple_table([loc.spectrum.values for loc in model.locals])
+    blocks = P_H * lam[:, None, :] if convention == "destination" else lam[:, :, None] * P_H
+    w, W = np.linalg.eig(blocks)
+    sv = np.linalg.svd(W, compute_uv=False)
+    # a stacked eig is complex for the whole stack once one block is; blocks
+    # with a real spectrum go back to the real output a lone eig would give
+    real = np.all(w.imag == 0, axis=1)
+    local_factors = _khatri_rao([loc.spectrum.right_vectors for loc in model.locals])
     pairs = []
     defective = []
-    for labels in itertools.product(*(range(loc.dimension) for loc in model.locals)):
-        lam = np.array([model.locals[j].spectrum.values[labels[j]] for j in range(d1)])
-        block = P_H * lam[None, :] if convention == "destination" else lam[:, None] * P_H
-        w, W = np.linalg.eig(block)
-        sv = np.linalg.svd(W, compute_uv=False)
-        keep = range(d1)
-        if sv[-1] <= defect_tol * max(1.0, sv[0]):
+    for i, labels in enumerate(np.ndindex(*model.local_dims)):
+        wi, Wi = (w[i].real, W[i].real) if real[i] else (w[i], W[i])
+        keep = range(model.branching)
+        if sv[i, -1] <= defect_tol * max(1.0, sv[i, 0]):
             defective.append(labels)
             # keep a maximal independent subset of the returned eigenvectors
-            _, R, piv = qr(W, pivoting=True)
+            _, R, piv = qr(Wi, pivoting=True)
             rank = int(np.sum(np.abs(np.diag(R)) > defect_tol * max(1.0, abs(R[0, 0]))))
             keep = sorted(piv[:rank])
-        local_factor = np.ones(1)
-        for j in range(d1):
-            local_factor = np.kron(local_factor, model.locals[j].spectrum.right_vectors[:, labels[j]])
-        for m in keep:
-            pairs.append(HdtrwEigenpair(
-                value=complex(w[m]),
-                vector=np.kron(W[:, m], local_factor),
-                labels=labels,
-                block_index=int(m),
-            ))
+        # row k is kron(Wi[:, keep[k]], local factor of tuple i)
+        vectors = (Wi[:, keep].T[:, :, None] * local_factors[:, i]).reshape(len(keep), -1)
+        for m, vector in zip(keep, vectors):
+            pairs.append(HdtrwEigenpair(value=complex(wi[m]), vector=vector, labels=labels,
+                                        block_index=int(m)))
     return HdtrwEigenpairs(pairs=tuple(pairs), defective_blocks=tuple(defective))
 
 
-def _semigroups(model: HierarchicalModel, times) -> list[np.ndarray]:
+def _checked_times(model: HierarchicalModel, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.shape != (model.branching,):
         raise DimensionMismatch(f"need {model.branching} times, got {times.shape}")
     if np.any(times < 0):
         raise NegativeTime(f"times must be nonnegative, got {times}")
+    return times
+
+
+def _semigroups(model: HierarchicalModel, times) -> list[np.ndarray]:
+    times = _checked_times(model, times)
     return [expm(-times[j] * (np.eye(loc.dimension) - loc.graph.transition))
             for j, loc in enumerate(model.locals)]
 
@@ -283,21 +294,24 @@ def apply_hctrw(model: HierarchicalModel, times, x: np.ndarray) -> np.ndarray:
 
 
 def hctrw_lambda(p_values, times) -> np.ndarray:
-    """Diagonal of exp(-t_j (1 - lambda_j)) for one tuple of P-eigenvalues."""
+    """Diagonal of exp(-t_j (1 - lambda_j)) for one tuple (or a table) of P-eigenvalues."""
     p_values = np.asarray(p_values, dtype=float)
     times = np.asarray(times, dtype=float)
     return np.exp(-times * (1.0 - p_values))
 
 
 def hctrw_core(model: HierarchicalModel, lam_diag) -> np.ndarray:
-    """Symmetric core Lambda^{1/2} (I - L_H) Lambda^{1/2} of one tuple block."""
+    """Symmetric core Lambda^{1/2} (I - L_H) Lambda^{1/2} of one tuple block.
+
+    A 2-D ``lam_diag`` holds one diagonal per row and gives a stack of cores.
+    """
     lam_diag = np.asarray(lam_diag, dtype=float)
     if np.any(lam_diag <= 0):
         raise NonpositiveDiagonal(f"diagonal must be strictly positive, got {lam_diag}")
     root = np.sqrt(lam_diag)
     inner = np.eye(model.branching) - model.global_walk.laplacian
-    core = root[:, None] * inner * root[None, :]
-    return (core + core.T) / 2.0
+    core = root[..., :, None] * inner * root[..., None, :]
+    return (core + core.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -323,35 +337,22 @@ def hctrw_spectral(model: HierarchicalModel, times) -> DeformedSpectrum:
     D_H^{1/2} Lambda_t^{1/2}; diagonalizing the core gives eigenvalues and
     biorthogonal left/right vectors of the block.
     """
-    times = np.asarray(times, dtype=float)
-    if times.shape != (model.branching,):
-        raise DimensionMismatch(f"need {model.branching} times, got {times.shape}")
-    if np.any(times < 0):
-        raise NegativeTime(f"times must be nonnegative, got {times}")
-    pi_H = model.global_walk.graph.measure
-    dH = np.sqrt(pi_H)
-    blocks = []
-    for labels in itertools.product(*(range(loc.dimension) for loc in model.locals)):
-        lam = np.array([model.locals[j].spectrum.values[labels[j]] for j in range(model.branching)])
-        diag = hctrw_lambda(lam, times)
-        core = hctrw_core(model, diag)
-        system = eigh(core)
-        root = np.sqrt(diag)
-        right = system.vectors / (root * dH)[:, None]
-        left = (system.vectors * (root * dH)[:, None]).T
-        blocks.append(DeformedBlock(labels=labels, values=system.values, right=right, left=left))
-    return DeformedSpectrum(times=times, blocks=tuple(blocks))
+    times = _checked_times(model, times)
+    diag = hctrw_lambda(_tuple_table([loc.spectrum.values for loc in model.locals]), times)
+    values, vectors = _eigh_stack(hctrw_core(model, diag))
+    scale = (np.sqrt(diag) * np.sqrt(model.global_walk.graph.measure))[:, :, None]
+    right = vectors / scale
+    left = (vectors * scale).swapaxes(1, 2)
+    blocks = tuple(DeformedBlock(labels=labels, values=values[i], right=right[i], left=left[i])
+                   for i, labels in enumerate(np.ndindex(*model.local_dims)))
+    return DeformedSpectrum(times=times, blocks=blocks)
 
 
 def reconstruct_hctrw(model: HierarchicalModel, spectrum: DeformedSpectrum) -> np.ndarray:
     """Assemble the dense deformed matrix from its blockwise decomposition."""
-    out = np.zeros((model.dimension, model.dimension))
-    for block in spectrum.blocks:
-        local_factor = np.eye(1)
-        for j, loc in enumerate(model.locals):
-            r = loc.spectrum.right_vectors[:, block.labels[j]]
-            l = loc.spectrum.left_vectors[block.labels[j], :]
-            local_factor = np.kron(local_factor, np.outer(r, l))
-        global_part = (block.right * block.values) @ block.left
-        out += np.kron(global_part, local_factor)
-    return out
+    columns = [np.ravel_multi_index(block.labels, model.local_dims) for block in spectrum.blocks]
+    right = _khatri_rao([loc.spectrum.right_vectors for loc in model.locals])[:, columns]
+    left = _khatri_rao([loc.spectrum.left_vectors.T for loc in model.locals])[:, columns]
+    parts = np.stack([(block.right * block.values) @ block.left for block in spectrum.blocks])
+    out = np.einsum("iab,ri,si->arbs", parts, right, left, optimize=True)
+    return out.reshape(model.dimension, model.dimension)

@@ -31,7 +31,6 @@ records the minimum entry instead of forbidding this.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +45,8 @@ from .errors import (
     NegativeWeight,
 )
 from .graphs import GraphModel
-from .hierarchy import DENSE_CAP, walk_spectral_data
-from .spectral import GROUPING_TOL, EigenSystem, eigh
+from .hierarchy import DENSE_CAP, _apply_register, walk_spectral_data
+from .spectral import GROUPING_TOL, EigenSystem, _eigh_stack, _khatri_rao, _tuple_table, eigh
 
 NORM_TOL = 1e-12
 MASS_TOL = 1e-9
@@ -149,21 +148,17 @@ class HamiltonianAssembly:
         return self.branching * int(np.prod(self.local_dims))
 
     def tuples(self):
-        return itertools.product(*(range(n) for n in self.local_dims))
+        return np.ndindex(*self.local_dims)
 
     def dense_hamiltonian(self, cap: int = DENSE_CAP) -> np.ndarray:
         """Materialize the full Hamiltonian; refuses above the dimension cap."""
         if self.dimension > cap:
             raise DimensionCapExceeded(f"dimension {self.dimension} exceeds cap {cap}")
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for i, labels in enumerate(self.tuples()):
-            block = (self.block_vectors[i] * self.block_values[i]) @ self.block_vectors[i].conj().T
-            proj = np.eye(1, dtype=complex)
-            for j, s in enumerate(self.local_systems):
-                v = s.vectors[:, labels[j]]
-                proj = np.kron(proj, np.outer(v, v.conj()))
-            out += np.kron(block, proj)
-        return out
+        V = self.block_vectors
+        blocks = (V * self.block_values[:, None, :]) @ V.conj().swapaxes(1, 2)
+        K = _khatri_rao([s.vectors for s in self.local_systems])
+        out = np.einsum("iab,ri,si->arbs", blocks, K, K.conj(), optimize=True)
+        return out.reshape(self.dimension, self.dimension)
 
 
 def assemble_hamiltonian(global_ham: np.ndarray, local_systems,
@@ -182,32 +177,20 @@ def assemble_hamiltonian(global_ham: np.ndarray, local_systems,
     if len(local_systems) != d1:
         raise DimensionMismatch(f"{len(local_systems)} local systems for a "
                                 f"{d1}-dimensional global Hamiltonian")
-    clamped = []
     for j, s in enumerate(local_systems):
         if np.any(s.values < -LOCAL_EIGENVALUE_TOL):
             raise NegativeLocalEigenvalue(
                 f"local system {j} has eigenvalue {s.values.min():.3e}; shift it first")
-        clamped.append(np.maximum(s.values, 0.0))
-    dims = [s.dimension for s in local_systems]
-    count = int(np.prod(dims))
-    block_values = np.empty((count, d1))
-    block_vectors = np.empty((count, d1, d1), dtype=complex)
-    for i, labels in enumerate(itertools.product(*(range(n) for n in dims))):
-        lam = np.array([clamped[j][labels[j]] for j in range(d1)])
-        if np.max(lam) <= tol:
-            block_values[i] = 0.0
-            block_vectors[i] = anchor.vectors
-        else:
-            root = np.sqrt(lam)
-            block = root[:, None] * global_ham * root[None, :]
-            system = eigh((block + block.conj().T) / 2.0, tol)
-            block_values[i] = system.values
-            block_vectors[i] = system.vectors
+    lam = np.maximum(_tuple_table([s.values for s in local_systems]), 0.0)
+    root = np.sqrt(lam)
+    blocks = root[:, :, None] * global_ham * root[:, None, :]
+    values, vectors = _eigh_stack((blocks + blocks.conj().swapaxes(1, 2)) / 2.0)
+    vanishing = np.max(lam, axis=1) <= tol
     return HamiltonianAssembly(
         global_ham=global_ham,
         local_systems=local_systems,
-        block_values=block_values,
-        block_vectors=block_vectors,
+        block_values=np.where(vanishing[:, None], 0.0, values),
+        block_vectors=np.where(vanishing[:, None, None], anchor.vectors, vectors).astype(complex),
         anchor_system=anchor,
         grouping_tol=tol,
     )
@@ -216,12 +199,6 @@ def assemble_hamiltonian(global_ham: np.ndarray, local_systems,
 # ---------------------------------------------------------------------------
 # Evolution
 # ---------------------------------------------------------------------------
-
-def _apply_along_axis(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    """Contract ``matrix`` with ``tensor`` along ``axis`` (matrix acts on that index)."""
-    moved = np.tensordot(matrix, tensor, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
-
 
 def evolve(assembly: HamiltonianAssembly, t: float, psi: QuantumState) -> QuantumState:
     """Apply exp(i t H) blockwise; works without materializing the operator."""
@@ -233,7 +210,7 @@ def evolve(assembly: HamiltonianAssembly, t: float, psi: QuantumState) -> Quantu
     field = psi.amplitudes.reshape((d1, *dims))
     # Rotate each local register into its eigenbasis.
     for j, s in enumerate(assembly.local_systems):
-        field = _apply_along_axis(s.vectors.conj().T, field, j + 1)
+        field = _apply_register(s.vectors.conj().T, field, j + 1)
     flat = field.reshape(d1, -1)
     phases = np.exp(1j * t * assembly.block_values)
     rotated = np.einsum("lam,lm,lbm,bl->al",
@@ -241,7 +218,7 @@ def evolve(assembly: HamiltonianAssembly, t: float, psi: QuantumState) -> Quantu
                         assembly.block_vectors.conj(), flat)
     field = rotated.reshape((d1, *dims))
     for j, s in enumerate(assembly.local_systems):
-        field = _apply_along_axis(s.vectors, field, j + 1)
+        field = _apply_register(s.vectors, field, j + 1)
     # unitarity keeps the norm; QuantumState's validation would flag drift
     return QuantumState(field.reshape(-1))
 
@@ -265,15 +242,16 @@ def _contract_lattice(coeff: np.ndarray, mats) -> np.ndarray:
     """Contract a tuple-lattice coefficient tensor with one matrix per axis."""
     out = coeff
     for j, W in enumerate(mats):
-        out = _apply_along_axis(W, out, j)
+        out = _apply_register(W, out, j)
     return out
 
 
-def _product_amplitudes(psi_locals) -> np.ndarray:
-    out = np.ones(1, dtype=complex)
-    for psi in psi_locals:
-        out = np.multiply.outer(out, psi.amplitudes)
-    return out.reshape(tuple(p.dimension for p in psi_locals))
+def _outer_product(vectors) -> np.ndarray:
+    """Tensor product of one vector per register, shaped like the position lattice."""
+    out = np.ones(1)
+    for v in vectors:
+        out = np.multiply.outer(out, v)
+    return out.reshape(tuple(len(v) for v in vectors))
 
 
 def joint_distribution(assembly: HamiltonianAssembly, t: float,
@@ -293,7 +271,7 @@ def joint_distribution(assembly: HamiltonianAssembly, t: float,
     # a[i, m] = <u_m^{(i)} | psi_global> per tuple i and branch m
     overlaps = np.einsum("iam,a->im", assembly.block_vectors.conj(), psi_global.amplitudes)
     phases = np.exp(1j * t * assembly.block_values)
-    prob = np.abs(_product_amplitudes(psi_locals)) ** 2
+    prob = np.abs(_outer_product([psi.amplitudes for psi in psi_locals])) ** 2
     for m in range(d1):
         phased = (overlaps[:, m] * phases[:, m]).reshape(dims)
         plain = overlaps[:, m].reshape(dims)
@@ -322,6 +300,23 @@ def kbar_hamiltonian(q) -> np.ndarray:
     return np.outer(root, root)
 
 
+def _kbar_table(q, local_values, tol: float):
+    """Unit vector, weighted-branch flag and phase rate of every kbar tuple block.
+
+    ``local_values[j]`` holds register j's 1 - lambda values; rows follow the
+    tuple order of :func:`~hierwalk.spectral._tuple_table`.
+    """
+    oml = _tuple_table(local_values)
+    weights = oml * q
+    if np.any(weights < -tol):
+        raise NegativeWeight(f"weight {weights.min():.3e} below -{tol:.1e}")
+    weighted = np.max(np.abs(oml), axis=1) > tol
+    weights = np.maximum(weights, 0.0)
+    total = np.where(weighted, weights.sum(axis=1), 1.0)
+    vectors = np.where(weighted[:, None], np.sqrt(weights / total[:, None]), np.sqrt(q))
+    return vectors, weighted, oml @ q
+
+
 def kbar_tuple_vector(one_minus_lambdas, q, tol: float = GROUPING_TOL):
     """Distinguished unit vector of one tuple block on the loopy complete graph.
 
@@ -329,15 +324,9 @@ def kbar_tuple_vector(one_minus_lambdas, q, tol: float = GROUPING_TOL):
     is nonzero; the uniform sqrt(q) branch otherwise. Returns the vector and
     the branch tag ("weighted" | "uniform").
     """
-    oml = np.asarray(one_minus_lambdas, dtype=float)
-    q = np.asarray(q, dtype=float)
-    weights = oml * q
-    if np.any(weights < -tol):
-        raise NegativeWeight(f"weight {weights.min():.3e} below -{tol:.1e}")
-    if np.max(np.abs(oml)) > tol:
-        weights = np.maximum(weights, 0.0)
-        return np.sqrt(weights / weights.sum()), "weighted"
-    return np.sqrt(q), "uniform"
+    vectors, weighted, _ = _kbar_table(np.asarray(q, dtype=float),
+                                       np.asarray(one_minus_lambdas, dtype=float)[:, None], tol)
+    return vectors[0], "weighted" if weighted[0] else "uniform"
 
 
 @dataclass(frozen=True)
@@ -363,38 +352,31 @@ def kbar_spec(q, local_systems, psi_global: QuantumState | None = None,
     """Tabulate the per-tuple vectors, branch tags and phase rates."""
     q = _validate_q(q)
     local_systems = tuple(local_systems)
-    dims = tuple(s.dimension for s in local_systems)
-    labels_list = list(itertools.product(*(range(n) for n in dims)))
-    vectors = np.empty((len(labels_list), len(q)))
-    branches = []
-    rates = np.empty(len(labels_list))
-    for i, labels in enumerate(labels_list):
-        oml = np.array([local_systems[j].values[labels[j]] for j in range(len(dims))])
-        vectors[i], branch = kbar_tuple_vector(oml, q, tol)
-        branches.append(branch)
-        rates[i] = float(np.dot(oml, q))
+    vectors, weighted, rates = _kbar_table(q, [s.values for s in local_systems], tol)
     p = spread = None
     if psi_global is not None:
-        sq = np.abs(vectors @ psi_global.amplitudes) ** 2
-        spread = float(sq.max() - sq.min())
-        p = float(sq.mean()) if spread <= tol else None
-    return KbarSpec(q=q, labels=tuple(labels_list), vectors=vectors,
-                    branches=tuple(branches), rates=rates, p=p,
-                    overlap_spread=spread)
+        mean, spread = constant_overlap(q, local_systems, psi_global, tol)
+        p = mean if spread <= tol else None
+    return KbarSpec(q=q, labels=tuple(np.ndindex(*(s.dimension for s in local_systems))),
+                    vectors=vectors,
+                    branches=tuple("weighted" if w else "uniform" for w in weighted),
+                    rates=rates, p=p, overlap_spread=spread)
 
 
-def _kbar_coefficients(q, local_systems, psi_global, tol):
-    """Per-tuple overlap a_T and phase rate s_T = sum_j (1-lambda) q_j."""
+def _kbar_branches(q, local_systems, t: float, psi_global: QuantumState, psi_locals, tol: float):
+    """Local overlap matrices and the phased / unphased kbar branch amplitudes.
+
+    Branch amplitude of tuple T is a_T = <v_T | psi_global>, phased by
+    exp(i t s_T) with rate s_T = sum_j (1-lambda_j) q_j.
+    """
+    q = _validate_q(q)
+    local_systems = tuple(local_systems)
     dims = tuple(s.dimension for s in local_systems)
-    count = int(np.prod(dims))
-    a = np.empty(count, dtype=complex)
-    s_rate = np.empty(count)
-    for i, labels in enumerate(itertools.product(*(range(n) for n in dims))):
-        oml = np.array([local_systems[j].values[labels[j]] for j in range(len(dims))])
-        v, _ = kbar_tuple_vector(oml, q, tol)
-        a[i] = np.vdot(v, psi_global.amplitudes)
-        s_rate[i] = float(np.dot(oml, q))
-    return a.reshape(dims), s_rate.reshape(dims)
+    W = _local_overlap_matrices(local_systems, psi_locals)
+    vectors, _, rates = _kbar_table(q, [s.values for s in local_systems], tol)
+    a = (vectors @ psi_global.amplitudes).reshape(dims)
+    phased = _contract_lattice(a * np.exp(1j * t * rates.reshape(dims)), W)
+    return W, phased, _contract_lattice(a, W)
 
 
 def kbar_joint_distribution(q, local_systems, t: float, psi_global: QuantumState,
@@ -405,17 +387,9 @@ def kbar_joint_distribution(q, local_systems, t: float, psi_global: QuantumState
     exp(i t sum_j (1-lambda_j) q_j). Requires local Hamiltonians equal to
     the normalized Laplacians (their eigensystems are passed directly).
     """
-    q = _validate_q(q)
     psi_locals = list(psi_locals)
-    local_systems = tuple(local_systems)
-    W = _local_overlap_matrices(local_systems, psi_locals)
-    a, s_rate = _kbar_coefficients(q, local_systems, psi_global, tol)
-    phased = _contract_lattice(a * np.exp(1j * t * s_rate), W)
-    plain = _contract_lattice(a, W)
-    middle = np.ones(1)
-    for psi in psi_locals:
-        middle = np.multiply.outer(middle, np.abs(psi.amplitudes) ** 2)
-    middle = middle.reshape(tuple(p.dimension for p in psi_locals))
+    _, phased, plain = _kbar_branches(q, local_systems, t, psi_global, psi_locals, tol)
+    middle = _outer_product([np.abs(psi.amplitudes) ** 2 for psi in psi_locals])
     prob = np.abs(phased) ** 2 + middle - np.abs(plain) ** 2
     return JointDistribution(probabilities=prob, time=float(t), formula="three-term")
 
@@ -429,15 +403,8 @@ def operator_split_joint_distribution(q, local_systems, t: float, psi_global: Qu
     taken as the product law, so agreement with the three-term form checks
     the completeness identity as well.
     """
-    q = _validate_q(q)
-    psi_locals = list(psi_locals)
-    local_systems = tuple(local_systems)
-    dims = tuple(s.dimension for s in local_systems)
-    W = _local_overlap_matrices(local_systems, psi_locals)
-    a, s_rate = _kbar_coefficients(q, local_systems, psi_global, tol)
-    identity_amp = _contract_lattice(np.ones(dims, dtype=complex), W)
-    phased = _contract_lattice(a * np.exp(1j * t * s_rate), W)
-    plain = _contract_lattice(a, W)
+    W, phased, plain = _kbar_branches(q, local_systems, t, psi_global, list(psi_locals), tol)
+    identity_amp = _contract_lattice(np.ones(phased.shape, dtype=complex), W)
     prob = np.abs(identity_amp) ** 2 + np.abs(phased) ** 2 - np.abs(plain) ** 2
     return JointDistribution(probabilities=prob, time=float(t), formula="operator-split")
 
@@ -445,9 +412,8 @@ def operator_split_joint_distribution(q, local_systems, t: float, psi_global: Qu
 def constant_overlap(q, local_systems, psi_global: QuantumState,
                      tol: float = GROUPING_TOL) -> tuple[float, float]:
     """Return (p, spread) of the squared tuple-vector overlaps with psi_global."""
-    q = _validate_q(q)
-    a, _ = _kbar_coefficients(q, tuple(local_systems), psi_global, tol)
-    sq = np.abs(a.reshape(-1)) ** 2
+    vectors, _, _ = _kbar_table(_validate_q(q), [s.values for s in local_systems], tol)
+    sq = np.abs(vectors @ psi_global.amplitudes) ** 2
     return float(sq.mean()), float(sq.max() - sq.min())
 
 
@@ -474,13 +440,10 @@ def factorized_distribution(q, local_systems, t: float, p: float, psi_locals,
         if abs(mean - p) > max(tol, 1e-9):
             raise ConstantOverlapViolated(
                 f"asserted p={p} but overlaps give {mean:.12f}")
-    moved = np.ones(1)
-    frozen = np.ones(1)
-    for j, (s, psi) in enumerate(zip(local_systems, psi_locals)):
-        moved = np.multiply.outer(moved, ctqw_distribution_from_system(s, psi, q[j] * t))
-        frozen = np.multiply.outer(frozen, np.abs(psi.amplitudes) ** 2)
-    dims = tuple(s.dimension for s in local_systems)
-    prob = p * moved.reshape(dims) + (1.0 - p) * frozen.reshape(dims)
+    moved = _outer_product([ctqw_distribution_from_system(s, psi, q[j] * t)
+                            for j, (s, psi) in enumerate(zip(local_systems, psi_locals))])
+    frozen = _outer_product([np.abs(psi.amplitudes) ** 2 for psi in psi_locals])
+    prob = p * moved + (1.0 - p) * frozen
     return JointDistribution(probabilities=prob, time=float(t), formula="factorized")
 
 

@@ -11,7 +11,6 @@ reproducible rather than whatever the backend returns.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +22,15 @@ GROUPING_TOL = 1e-9
 
 
 def canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rescale each column so its largest-magnitude entry is real positive."""
-    V = np.array(vectors, copy=True)
-    for m in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, m])))
-        z = V[i, m]
-        a = abs(z)
-        if a > 0:
-            V[:, m] = V[:, m] * (np.conj(z) / a)
-    if np.isrealobj(vectors):
-        V = V.real
-    return V
+    """Rescale each column so its largest-magnitude entry is real positive.
+
+    Works on ``(..., n, n)`` stacks; ties go to the first maximal entry.
+    """
+    V = np.asarray(vectors)
+    z = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
+    a = np.hypot(z.real, z.imag)  # the rounding of abs() on a scalar
+    nonzero = a > 0
+    return V * np.where(nonzero, np.conj(z) / np.where(nonzero, a, 1.0), 1.0)
 
 
 def group_by_gap(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -72,6 +69,18 @@ class EigenSystem:
         return float(np.max(np.abs(V.conj().T @ V - np.eye(self.dimension))))
 
 
+def _eigh_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity check, one ``np.linalg.eigh`` call and canonical phases on a stack."""
+    defect = float(np.max(np.abs(A - A.conj().swapaxes(-1, -2)))) if A.size else 0.0
+    if defect > HERMITIAN_TOL:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
+    try:
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceFailure(str(e)) from e
+    return w, canonical_phases(V)
+
+
 def eigh(A: np.ndarray, tol: float = GROUPING_TOL) -> EigenSystem:
     """Eigendecompose a Hermitian matrix with canonical ordering and phases.
 
@@ -80,14 +89,7 @@ def eigh(A: np.ndarray, tol: float = GROUPING_TOL) -> EigenSystem:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch("eigh expects a square matrix")
-    defect = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as e:
-        raise ConvergenceFailure(str(e)) from e
-    V = canonical_phases(V)
+    w, V = _eigh_stack(A)
     return EigenSystem(values=w, vectors=V, groups=tuple(tuple(g) for g in group_by_gap(w, tol)))
 
 
@@ -155,6 +157,29 @@ def shift_to_nonnegative(system: EigenSystem, mode: str = "min-shift",
     return new, SpectralShift(offset=offset, mode=mode)
 
 
+def _tuple_table(columns) -> np.ndarray:
+    """``(count, d)`` table whose row i holds ``columns[j][labels_i[j]]``.
+
+    Rows follow ``np.ndindex`` order (lexicographic, last register fastest),
+    the tuple order used by every per-tuple result in the package.
+    """
+    columns = [np.asarray(c) for c in columns]
+    d = len(columns)
+    table = np.empty(tuple(len(c) for c in columns) + (d,), dtype=np.result_type(*columns))
+    for j, c in enumerate(columns):
+        table[..., j] = c.reshape((-1,) + (1,) * (d - 1 - j))
+    return table.reshape(-1, d)
+
+
+def _khatri_rao(mats) -> np.ndarray:
+    """Column i is the Kronecker product of column ``labels_i[j]`` of every ``mats[j]``."""
+    out = np.ones((1, 1))
+    for M in mats:
+        out = (out[:, None, :, None] * M[None, :, None, :]).reshape(
+            out.shape[0] * M.shape[0], out.shape[1] * M.shape[1])
+    return out
+
+
 def tuple_iterator(systems):
     """Yield (index tuple, eigenvalue tuple, eigenvector tuple) over all labels.
 
@@ -163,7 +188,7 @@ def tuple_iterator(systems):
     systems = list(systems)
     if not systems:
         raise ValueError("tuple_iterator needs at least one eigensystem")
-    for idx in itertools.product(*(range(s.dimension) for s in systems)):
+    for idx in np.ndindex(*(s.dimension for s in systems)):
         values = tuple(float(s.values[i]) for s, i in zip(systems, idx))
         vectors = tuple(s.vectors[:, i] for s, i in zip(systems, idx))
         yield idx, values, vectors

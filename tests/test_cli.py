@@ -144,6 +144,30 @@ class TestSimulate:
             assert float(ra[3]) == pytest.approx(float(rb[3]), abs=1e-9)
 
 
+class TestBadScalars:
+    """Unusable scalar fields are validation failures (exit 2), not tracebacks."""
+
+    def run(self, tmp_path, capsys, **fields):
+        data = kbar_scenario([0.0])
+        data.update(fields)
+        scen = write_scenario(tmp_path, data)
+        rc = main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_non_numeric_time(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, times=[0.0, "soon"])
+
+    def test_scalar_times(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, times=0.5)
+
+    def test_non_numeric_p(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, p="half")
+
+    def test_non_numeric_tol(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, tol=[1e-9])
+
+
 class TestVerify:
     def test_all_suites_pass_on_reference(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, kbar_scenario([0.0, 1.0]))
@@ -235,3 +259,14 @@ class TestSpectra:
         out = json.loads(capsys.readouterr().out)
         assert out["tuples"] is None
         assert "notice" in out
+
+    def test_tol_regroups_graph_spectra(self, tmp_path, capsys):
+        scenario = {
+            "model": {"q": [0.5, 0.5], "locals": [P2_GRAPH, C3_GRAPH]},
+            "times": [0.0],
+        }
+        scen = write_scenario(tmp_path, scenario)
+        assert main(["spectra", "--scenario", str(scen), "--tol", "2.0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        by_name = {g["name"]: g for g in out["graphs"]}
+        assert by_name["local_1"]["groups"] == [[0, 1, 2]]
