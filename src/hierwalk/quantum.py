@@ -239,10 +239,14 @@ def _local_overlap_matrices(local_systems, psi_locals) -> list[np.ndarray]:
 
 
 def _contract_lattice(coeff: np.ndarray, mats) -> np.ndarray:
-    """Contract a tuple-lattice coefficient tensor with one matrix per axis."""
+    """Contract the trailing tuple-lattice axes of ``coeff`` with one matrix each.
+
+    Axes in front of the lattice (a time grid) are carried along as a batch.
+    """
+    lead = coeff.ndim - len(mats)
     out = coeff
     for j, W in enumerate(mats):
-        out = _apply_register(W, out, j)
+        out = _apply_register(W, out, lead + j)
     return out
 
 
@@ -310,7 +314,9 @@ def _kbar_table(q, local_values, tol: float):
     weights = oml * q
     if np.any(weights < -tol):
         raise NegativeWeight(f"weight {weights.min():.3e} below -{tol:.1e}")
-    weighted = np.max(np.abs(oml), axis=1) > tol
+    # A 1-lambda just below zero clamps to a zero weight, so the branch is
+    # decided after clamping; a tuple with no weight left is uniform.
+    weighted = np.max(oml, axis=1) > tol
     weights = np.maximum(weights, 0.0)
     total = np.where(weighted, weights.sum(axis=1), 1.0)
     vectors = np.where(weighted[:, None], np.sqrt(weights / total[:, None]), np.sqrt(q))
@@ -321,8 +327,8 @@ def kbar_tuple_vector(one_minus_lambdas, q, tol: float = GROUPING_TOL):
     """Distinguished unit vector of one tuple block on the loopy complete graph.
 
     Weighted branch sqrt((1-lambda_j) q_j), normalized, when some 1-lambda
-    is nonzero; the uniform sqrt(q) branch otherwise. Returns the vector and
-    the branch tag ("weighted" | "uniform").
+    exceeds ``tol``; the uniform sqrt(q) branch otherwise. Returns the vector
+    and the branch tag ("weighted" | "uniform").
     """
     vectors, weighted, _ = _kbar_table(np.asarray(q, dtype=float),
                                        np.asarray(one_minus_lambdas, dtype=float)[:, None], tol)
@@ -363,11 +369,29 @@ def kbar_spec(q, local_systems, psi_global: QuantumState | None = None,
                     rates=rates, p=p, overlap_spread=spread)
 
 
-def _kbar_branches(q, local_systems, t: float, psi_global: QuantumState, psi_locals, tol: float):
+def _time_grid(t) -> tuple[np.ndarray, bool]:
+    """A time or a 1-D grid of times as a 1-D array, and whether ``t`` was a scalar."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D grid, got shape {times.shape}")
+    return times.reshape(-1), times.ndim == 0
+
+
+def _laws(probabilities: np.ndarray, times: np.ndarray, scalar: bool, formula: str):
+    """One law per time (leading axis of ``probabilities``); the lone law for a scalar time."""
+    laws = tuple(JointDistribution(probabilities=p, time=float(t), formula=formula)
+                 for p, t in zip(probabilities, times))
+    return laws[0] if scalar else laws
+
+
+def _kbar_branches(q, local_systems, times: np.ndarray, psi_global: QuantumState,
+                   psi_locals, tol: float):
     """Local overlap matrices and the phased / unphased kbar branch amplitudes.
 
     Branch amplitude of tuple T is a_T = <v_T | psi_global>, phased by
-    exp(i t s_T) with rate s_T = sum_j (1-lambda_j) q_j.
+    exp(i t s_T) with rate s_T = sum_j (1-lambda_j) q_j. The table is built
+    once; the phased amplitudes carry the time grid as their leading axis,
+    so one contraction per register serves every time.
     """
     q = _validate_q(q)
     local_systems = tuple(local_systems)
@@ -375,38 +399,46 @@ def _kbar_branches(q, local_systems, t: float, psi_global: QuantumState, psi_loc
     W = _local_overlap_matrices(local_systems, psi_locals)
     vectors, _, rates = _kbar_table(q, [s.values for s in local_systems], tol)
     a = (vectors @ psi_global.amplitudes).reshape(dims)
-    phased = _contract_lattice(a * np.exp(1j * t * rates.reshape(dims)), W)
-    return W, phased, _contract_lattice(a, W)
+    phases = np.exp(1j * np.multiply.outer(times, rates)).reshape((len(times), *dims))
+    return W, _contract_lattice(a * phases, W), _contract_lattice(a, W)
 
 
-def kbar_joint_distribution(q, local_systems, t: float, psi_global: QuantumState,
-                            psi_locals, tol: float = GROUPING_TOL) -> JointDistribution:
+def kbar_joint_distribution(q, local_systems, t: float | np.ndarray, psi_global: QuantumState,
+                            psi_locals, tol: float = GROUPING_TOL
+                            ) -> JointDistribution | tuple[JointDistribution, ...]:
     """Closed-form three-term law for the loopy-complete-graph global walk.
 
     phased term + initial product law - unphased term, with per-tuple phase
     exp(i t sum_j (1-lambda_j) q_j). Requires local Hamiltonians equal to
     the normalized Laplacians (their eigensystems are passed directly).
+    A scalar ``t`` gives one ``JointDistribution``; a 1-D grid gives a tuple
+    of them, one per time, from a single kbar table and contraction.
     """
+    times, scalar = _time_grid(t)
     psi_locals = list(psi_locals)
-    _, phased, plain = _kbar_branches(q, local_systems, t, psi_global, psi_locals, tol)
+    _, phased, plain = _kbar_branches(q, local_systems, times, psi_global, psi_locals, tol)
     middle = _outer_product([np.abs(psi.amplitudes) ** 2 for psi in psi_locals])
     prob = np.abs(phased) ** 2 + middle - np.abs(plain) ** 2
-    return JointDistribution(probabilities=prob, time=float(t), formula="three-term")
+    return _laws(prob, times, scalar, "three-term")
 
 
-def operator_split_joint_distribution(q, local_systems, t: float, psi_global: QuantumState,
-                              psi_locals, tol: float = GROUPING_TOL) -> JointDistribution:
+def operator_split_joint_distribution(q, local_systems, t: float | np.ndarray,
+                                      psi_global: QuantumState, psi_locals,
+                                      tol: float = GROUPING_TOL
+                                      ) -> JointDistribution | tuple[JointDistribution, ...]:
     """Same law evaluated through the operator split of the evolution.
 
     The propagator is the identity plus one phased rank-1 branch per tuple;
     the identity amplitude is accumulated over the tuple lattice instead of
     taken as the product law, so agreement with the three-term form checks
-    the completeness identity as well.
+    the completeness identity as well. ``t`` is a time or a 1-D grid, as in
+    :func:`kbar_joint_distribution`.
     """
-    W, phased, plain = _kbar_branches(q, local_systems, t, psi_global, list(psi_locals), tol)
-    identity_amp = _contract_lattice(np.ones(phased.shape, dtype=complex), W)
+    times, scalar = _time_grid(t)
+    W, phased, plain = _kbar_branches(q, local_systems, times, psi_global, list(psi_locals), tol)
+    identity_amp = _contract_lattice(np.ones(plain.shape, dtype=complex), W)
     prob = np.abs(identity_amp) ** 2 + np.abs(phased) ** 2 - np.abs(plain) ** 2
-    return JointDistribution(probabilities=prob, time=float(t), formula="operator-split")
+    return _laws(prob, times, scalar, "operator-split")
 
 
 def constant_overlap(q, local_systems, psi_global: QuantumState,
@@ -417,18 +449,21 @@ def constant_overlap(q, local_systems, psi_global: QuantumState,
     return float(sq.mean()), float(sq.max() - sq.min())
 
 
-def factorized_distribution(q, local_systems, t: float, p: float, psi_locals,
+def factorized_distribution(q, local_systems, t: float | np.ndarray, p: float, psi_locals,
                             psi_global: QuantumState | None = None,
-                            tol: float = GROUPING_TOL) -> JointDistribution:
+                            tol: float = GROUPING_TOL
+                            ) -> JointDistribution | tuple[JointDistribution, ...]:
     """p-mixture of the time-rescaled product law and the initial product law.
 
     Walker j runs for time q_j * t under its own Laplacian. When
     ``psi_global`` is supplied, the squared tuple overlaps must be constant
     within ``tol`` of spread and match ``p``; otherwise the asserted ``p``
-    is refused.
+    is refused. ``t`` is a time or a 1-D grid, as in
+    :func:`kbar_joint_distribution`; the overlap check runs once per call.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidP(f"mixture weight must lie in [0, 1], got {p}")
+    times, scalar = _time_grid(t)
     q = _validate_q(q)
     psi_locals = list(psi_locals)
     local_systems = tuple(local_systems)
@@ -440,11 +475,12 @@ def factorized_distribution(q, local_systems, t: float, p: float, psi_locals,
         if abs(mean - p) > max(tol, 1e-9):
             raise ConstantOverlapViolated(
                 f"asserted p={p} but overlaps give {mean:.12f}")
-    moved = _outer_product([ctqw_distribution_from_system(s, psi, q[j] * t)
-                            for j, (s, psi) in enumerate(zip(local_systems, psi_locals))])
     frozen = _outer_product([np.abs(psi.amplitudes) ** 2 for psi in psi_locals])
-    prob = p * moved + (1.0 - p) * frozen
-    return JointDistribution(probabilities=prob, time=float(t), formula="factorized")
+    moved = [_outer_product([ctqw_distribution_from_system(s, psi, q[j] * tv)
+                             for j, (s, psi) in enumerate(zip(local_systems, psi_locals))])
+             for tv in times]
+    prob = p * np.reshape(moved, (len(times), *frozen.shape)) + (1.0 - p) * frozen
+    return _laws(prob, times, scalar, "factorized")
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,15 @@ class TestSimulate:
         assert report["rows"] == 8
         assert all(t["normalization_defect"] <= 1e-9 for t in report["times"])
 
+    @pytest.mark.parametrize("mode", ["kbar", "general"])
+    def test_report_stage_times(self, tmp_path, mode):
+        scen = write_scenario(tmp_path, kbar_scenario([0.0, 1.0], mode=mode))
+        main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report["stages"]) == {"laws", "write"}
+        assert all(s >= 0.0 for s in report["stages"].values())
+        assert report["wall_seconds"] >= 0.0
+
     def test_corrupted_transition_named(self, tmp_path, capsys):
         bad = {
             "model": {
@@ -241,6 +250,15 @@ class TestSpectra:
         assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "mixture_deviation" in report["times"][0]
+
+    def test_p_field_with_varying_overlaps_exits_3(self, tmp_path, capsys):
+        data = kbar_scenario([0.0, 0.7, 2.0])
+        data["psi_H"] = [[1.0, 0.0], [0.0, 0.0]]
+        data["p"] = 0.5
+        scen = write_scenario(tmp_path, data)
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path / "out")]) == 3
+        assert "squared overlaps spread" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "distributions.csv").exists()
 
     def test_shipped_reference_scenario(self, tmp_path, capsys):
         scen = REPO_ROOT / "scenarios" / "reference.json"

@@ -8,6 +8,7 @@ those outputs must agree bit for bit, dtypes included.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def _ref_kbar(q, systems, tol=GROUPING_TOL):
         weights = oml * q
         if np.any(weights < -tol):
             raise NegativeWeight("negative weight")
-        if np.max(np.abs(oml)) > tol:
+        if np.max(oml) > tol:
             weights = np.maximum(weights, 0.0)
             vectors.append(np.sqrt(weights / weights.sum()))
             branches.append("weighted")
@@ -352,6 +353,20 @@ def test_kbar_negative_weight_still_raised():
     psi = hw.uniform_state(2)
     with pytest.raises(NegativeWeight):
         hw.kbar_joint_distribution([0.5, 0.5], [bad, bad], 1.0, psi, [psi, psi])
+
+
+def test_kbar_tuple_with_all_weights_clamped_is_uniform():
+    q = np.array([0.4, 0.6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, tag = hw.kbar_tuple_vector([-2e-9, 0.0], q)
+        spec = hw.kbar_spec(q, [_diag_system([-2e-9]), _diag_system([0.0])])
+    assert tag == "uniform"
+    _assert_identical(v, np.sqrt(q))
+    assert spec.branches == ("uniform",)
+    _assert_identical(spec.rates, np.array([-2e-9 * 0.4]))
+    with pytest.raises(NegativeWeight):
+        hw.kbar_tuple_vector([-3e-9, 0.0], q)
 
 
 # ---------------------------------------------------------------------------
