@@ -11,6 +11,7 @@ amplitudes are [re, im] pairs. Exit codes: 0 ok, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time as _time
@@ -194,8 +195,8 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     else:
         assembly = assemble_hamiltonian(scenario.global_hamiltonian(), systems,
                                         tol=scenario.grouping_tol)
-        laws = [joint_distribution(assembly, t, scenario.psi_global, scenario.psi_locals)
-                for t in scenario.times]
+        laws = joint_distribution(assembly, scenario.times, scenario.psi_global,
+                                  scenario.psi_locals)
     report_times = [{
         "t": t,
         "normalization_defect": abs(dist.total_mass - 1.0),
@@ -297,12 +298,11 @@ def _verify_evolution(scenario: Scenario, rng) -> list[dict]:
         U = oracle.matrix_exp(1j * t * H_dense, hermitian_hint=False)
         worst_unitary = max(worst_unitary,
                             float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))))
-        for _ in range(5):
-            psi = random_state(assembly.dimension, rng)
-            spectral = evolve(assembly, t, psi).amplitudes
-            dense = oracle.dense_evolve(scenario.global_hamiltonian(), local_hams, t,
-                                        psi.amplitudes)
-            worst_ev = max(worst_ev, float(np.max(np.abs(spectral - dense))))
+        states = [random_state(assembly.dimension, rng) for _ in range(5)]
+        spectral = np.stack([evolve(assembly, t, psi).amplitudes for psi in states], axis=1)
+        dense = oracle.dense_evolve(scenario.global_hamiltonian(), local_hams, t,
+                                    np.stack([psi.amplitudes for psi in states], axis=1))
+        worst_ev = max(worst_ev, float(np.max(np.abs(spectral - dense))))
     checks.append(_check("ctqw:unitarity", worst_unitary, 1e-9))
     checks.append(_check("ctqw:spectral-vs-dense", worst_ev, 1e-8))
     return checks
@@ -320,21 +320,22 @@ def _verify_distribution(scenario: Scenario, rng) -> list[dict]:
     worst_chain = 0.0
     worst_oracle = 0.0
     kbar_like = scenario.mode == "kbar"
+    times = (0.0, 1.0, float(np.pi))
     for _ in range(10):
         psi_g = random_state(model.branching, rng)
         psis = [random_state(loc.dimension, rng) for loc in model.locals]
-        for t in (0.0, 1.0, float(np.pi)):
-            general = joint_distribution(assembly, t, psi_g, psis)
-            worst_mass = max(worst_mass, abs(general.total_mass - 1.0))
-            ref = oracle.dense_joint_distribution(
-                H_H, local_hams, t, psi_g.amplitudes,
-                [p.amplitudes for p in psis], basis="branch")
-            worst_oracle = max(worst_oracle,
-                               float(np.max(np.abs(general.probabilities - ref))))
-            if kbar_like:
-                three = kbar_joint_distribution(scenario.q, systems, t, psi_g, psis)
-                split = operator_split_joint_distribution(scenario.q, systems, t, psi_g, psis)
-                for a, b in ((general, three), (general, split), (three, split)):
+        general = joint_distribution(assembly, times, psi_g, psis)
+        worst_mass = max(worst_mass, *(abs(law.total_mass - 1.0) for law in general))
+        ref = oracle.dense_joint_distribution(
+            H_H, local_hams, times, psi_g.amplitudes,
+            [p.amplitudes for p in psis], basis="branch")
+        worst_oracle = max(worst_oracle, float(np.max(np.abs(
+            np.array([law.probabilities for law in general]) - ref))))
+        if kbar_like:
+            three = kbar_joint_distribution(scenario.q, systems, times, psi_g, psis)
+            split = operator_split_joint_distribution(scenario.q, systems, times, psi_g, psis)
+            for laws in zip(general, three, split):
+                for a, b in itertools.combinations(laws, 2):
                     worst_chain = max(worst_chain, float(np.max(np.abs(
                         a.probabilities - b.probabilities))))
     checks.append(_check("joint:normalization", worst_mass, 1e-9))

@@ -1,16 +1,20 @@
 """Independent brute-force ground truth for cross-checking the fast paths.
 
-Nothing here imports from :mod:`hierwalk.hierarchy` or
-:mod:`hierwalk.quantum`; the duplication is deliberate so that agreement
-between an oracle and a production path actually validates both. The
-matrix exponential is a scaled-and-squared Taylor series (with an
-eigendecomposition shortcut for Hermitian input), operators are assembled
-by explicit loops over matrix entries, and the joint distribution is a
-direct nested summation.
+Nothing here imports from :mod:`hierwalk.hierarchy`, :mod:`hierwalk.quantum`
+or :mod:`hierwalk.spectral`; the duplication is deliberate so that agreement
+between an oracle and a production path actually validates both (a test
+parses this module to keep it so). The matrix exponential is a
+scaled-and-squared Taylor series (with an eigendecomposition shortcut for
+Hermitian input) and the walk operator is assembled by explicit loops over
+matrix entries. The Hamiltonian and the joint law come from the oracle's
+own eigensystems and phase rule: all tuple blocks are solved in one stacked
+``eigh``, and the sums over tuples are contractions with Kronecker products
+of the local eigenbases, formed in full.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,42 +112,64 @@ def dense_hdtrw(P_H: np.ndarray, local_Ps, convention: str = "destination") -> n
 
 
 def _eigh_canonical(A: np.ndarray):
-    """Own eigendecomposition with the largest-entry-positive phase convention."""
+    """Own eigendecomposition with the largest-entry-positive phase convention.
+
+    Works on ``(..., n, n)`` stacks; each column's first largest-magnitude
+    entry is made real positive.
+    """
     w, V = np.linalg.eigh(A)
     V = np.array(V, dtype=complex)
-    for m in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, m])))
-        z = V[i, m]
-        if abs(z) > 0:
-            V[:, m] *= np.conj(z) / abs(z)
-    return w, V
+    z = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
+    a = np.hypot(z.real, z.imag)
+    return w, V * np.where(a > 0, np.conj(z) / np.where(a > 0, a, 1.0), 1.0)
+
+
+def _local_systems(local_hams):
+    return [_eigh_canonical(np.asarray(H)) for H in local_hams]
+
+
+def _tuple_blocks(global_ham: np.ndarray, systems):
+    """Clamped local eigenvalues and sandwiched global blocks, one row per tuple.
+
+    Tuples of local eigenlabels run in ``itertools.product`` order (last
+    register fastest), the column order of the Kronecker products below.
+    """
+    dims = [w.shape[0] for w, _ in systems]
+    labels = np.indices(dims).reshape(len(dims), -1)
+    lam = np.maximum(np.stack([w[l] for (w, _), l in zip(systems, labels)], axis=1), 0.0)
+    root = np.sqrt(lam)
+    return lam, root[:, :, None] * global_ham * root[:, None, :]
+
+
+def _checked_dimension(d1: int, systems, cap: int) -> int:
+    N = d1 * int(np.prod([w.shape[0] for w, _ in systems]))
+    if N > cap:
+        raise DimensionCapExceeded(f"dimension {N} exceeds cap {cap}")
+    return N
 
 
 def dense_hamiltonian(global_ham: np.ndarray, local_hams, cap: int = DENSE_CAP) -> np.ndarray:
-    """Full hierarchical Hamiltonian from raw ingredient matrices."""
+    """Full hierarchical Hamiltonian from raw ingredient matrices.
+
+    Sum over tuples of block (x) projector, contracted in one ``einsum``
+    against the Kronecker product of the local eigenbases.
+    """
     global_ham = np.asarray(global_ham)
-    d1 = global_ham.shape[0]
-    systems = [_eigh_canonical(np.asarray(H)) for H in local_hams]
-    dims = [w.shape[0] for w, _ in systems]
-    N = d1 * int(np.prod(dims))
-    if N > cap:
-        raise DimensionCapExceeded(f"dimension {N} exceeds cap {cap}")
-    out = np.zeros((N, N), dtype=complex)
-    for labels in itertools.product(*(range(n) for n in dims)):
-        lam = np.array([max(systems[j][0][labels[j]], 0.0) for j in range(d1)])
-        root = np.sqrt(lam)
-        block = root[:, None] * global_ham * root[None, :]
-        proj = np.eye(1, dtype=complex)
-        for j in range(d1):
-            v = systems[j][1][:, labels[j]]
-            proj = np.kron(proj, np.outer(v, v.conj()))
-        out += np.kron(block, proj)
-    return out
+    systems = _local_systems(local_hams)
+    N = _checked_dimension(global_ham.shape[0], systems, cap)
+    _, blocks = _tuple_blocks(global_ham, systems)
+    basis = functools.reduce(np.kron, [V for _, V in systems])
+    out = np.einsum("iab,ri,si->arbs", blocks, basis, basis.conj(), optimize=True)
+    return out.reshape(N, N)
 
 
 def dense_evolve(global_ham: np.ndarray, local_hams, t: float, psi: np.ndarray,
                  cap: int = DENSE_CAP) -> np.ndarray:
-    """exp(i t H) psi through the dense Hamiltonian and the series exponential."""
+    """exp(i t H) psi through the dense Hamiltonian and the series exponential.
+
+    ``psi`` is one state of shape ``(N,)`` or a stack of states, one per
+    column, of shape ``(N, k)``; the operator is built once either way.
+    """
     H = dense_hamiltonian(global_ham, local_hams, cap)
     U = matrix_exp(1j * t * H)
     return U @ np.asarray(psi, dtype=complex)
@@ -153,66 +179,63 @@ def dense_evolve(global_ham: np.ndarray, local_hams, t: float, psi: np.ndarray,
 # Joint distribution, two bases
 # ---------------------------------------------------------------------------
 
-def dense_joint_distribution(global_ham: np.ndarray, local_hams, t: float,
+def dense_joint_distribution(global_ham: np.ndarray, local_hams, t,
                              psi_global: np.ndarray, psi_locals,
                              basis: str = "branch", cap: int = DENSE_CAP) -> np.ndarray:
-    """Joint law of the local positions by direct summation.
+    """Joint law of the local positions at a time or on a 1-D time grid.
 
     ``basis="branch"`` evaluates the identity-anchored branch formula with
-    nested loops and independently computed eigensystems: for every branch
-    of every tuple block the phased and unphased amplitudes are accumulated
-    position by position. ``basis="vertex"`` marginalizes the evolved dense
-    state over the global register; the two need not coincide.
+    independently computed eigensystems: all tuple blocks are solved in one
+    stacked ``eigh``, and the phased and unphased branch amplitudes of every
+    position are one product each with the (positions x tuples) Kronecker
+    matrix of the local factors. ``basis="vertex"`` marginalizes the evolved
+    dense state over the global register; the two need not coincide.
+    A scalar ``t`` gives an array shaped like the position lattice; a grid
+    gives one such array per time, stacked along a leading axis.
     """
     global_ham = np.asarray(global_ham)
     d1 = global_ham.shape[0]
     psi_global = np.asarray(psi_global, dtype=complex)
     psi_locals = [np.asarray(p, dtype=complex) for p in psi_locals]
-    systems = [_eigh_canonical(np.asarray(H)) for H in local_hams]
-    dims = [w.shape[0] for w, _ in systems]
-    if d1 * int(np.prod(dims)) > cap:
-        raise DimensionCapExceeded(f"dimension {d1 * int(np.prod(dims))} exceeds cap {cap}")
+    systems = _local_systems(local_hams)
+    dims = tuple(w.shape[0] for w, _ in systems)
+    _checked_dimension(d1, systems, cap)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D grid, got shape {times.shape}")
+    grid = times.reshape(-1)
 
     if basis == "vertex":
-        full = psi_global
-        for p in psi_locals:
-            full = np.kron(full, p)
-        out = dense_evolve(global_ham, local_hams, t, full, cap)
-        field = out.reshape(d1, -1)
-        return np.sum(np.abs(field) ** 2, axis=0).reshape(dims)
-
-    if basis != "branch":
+        H = dense_hamiltonian(global_ham, local_hams, cap)
+        full = functools.reduce(np.kron, psi_locals, psi_global)
+        fields = np.array([(matrix_exp(1j * tv * H) @ full).reshape(d1, -1) for tv in grid])
+        prob = np.sum(np.abs(fields) ** 2, axis=1).reshape((len(grid), *dims))
+    elif basis == "branch":
+        prob = _branch_laws(global_ham, systems, grid, psi_global, psi_locals)
+    else:
         raise ValueError(f"unknown basis {basis!r}")
+    return prob[0] if times.ndim == 0 else prob
 
-    anchor_w, anchor_V = _eigh_canonical(global_ham)
-    tol = 1e-9
-    tuples = list(itertools.product(*(range(n) for n in dims)))
-    blocks = {}
-    for labels in tuples:
-        lam = np.array([max(systems[j][0][labels[j]], 0.0) for j in range(d1)])
-        if np.max(lam) <= tol:
-            blocks[labels] = (np.zeros(d1), anchor_V)
-        else:
-            root = np.sqrt(lam)
-            blocks[labels] = _eigh_canonical(root[:, None] * global_ham * root[None, :])
 
-    prob = np.zeros(dims)
-    for ks in itertools.product(*(range(n) for n in dims)):
-        ident = complex(1.0)
-        for j in range(len(dims)):
-            ident *= psi_locals[j][ks[j]]
-        total = abs(ident) ** 2
-        for m in range(d1):
-            amp_t = complex(0.0)
-            amp_0 = complex(0.0)
-            for labels in tuples:
-                w, V = blocks[labels]
-                factor = np.vdot(V[:, m], psi_global)
-                for j in range(len(dims)):
-                    v = systems[j][1][:, labels[j]]
-                    factor *= v[ks[j]] * np.vdot(v, psi_locals[j])
-                amp_t += factor * np.exp(1j * t * w[m])
-                amp_0 += factor
-            total += abs(amp_t) ** 2 - abs(amp_0) ** 2
-        prob[ks] = total
-    return prob
+def _branch_laws(global_ham: np.ndarray, systems, grid: np.ndarray,
+                 psi_global: np.ndarray, psi_locals) -> np.ndarray:
+    """Identity-anchored branch formula at every time of ``grid``, time-major."""
+    d1 = global_ham.shape[0]
+    dims = tuple(w.shape[0] for w, _ in systems)
+    lam, blocks = _tuple_blocks(global_ham, systems)
+    w, V = _eigh_canonical(blocks)
+    anchored = np.max(lam, axis=1) <= 1e-9
+    w = np.where(anchored[:, None], 0.0, w)
+    V = np.where(anchored[:, None, None], _eigh_canonical(global_ham)[1], V)
+    # a[T, m] = <V_T[:, m] | psi_global>; K[k, T] = prod_j v_{T_j}[k_j] <v_{T_j} | psi_j>
+    a = np.einsum("iam,a->im", V.conj(), psi_global)
+    K = functools.reduce(np.kron, [Vj * (Vj.conj().T @ p)
+                                   for (_, Vj), p in zip(systems, psi_locals)])
+    phases = np.exp(1j * grid[:, None] * w[:, None, :])  # (tuple, time, branch)
+    phased = K @ (a[:, None, :] * phases).reshape(len(a), -1)
+    plain = K @ a
+    ident = np.abs(functools.reduce(np.kron, psi_locals)) ** 2
+    prob = (ident[:, None]
+            + np.sum(np.abs(phased.reshape(len(K), len(grid), d1)) ** 2, axis=2)
+            - np.sum(np.abs(plain) ** 2, axis=1)[:, None])
+    return prob.T.reshape((len(grid), *dims))

@@ -258,30 +258,53 @@ def _outer_product(vectors) -> np.ndarray:
     return out.reshape(tuple(len(v) for v in vectors))
 
 
-def joint_distribution(assembly: HamiltonianAssembly, t: float,
-                       psi_global: QuantumState, psi_locals) -> JointDistribution:
+def _time_grid(t) -> tuple[np.ndarray, bool]:
+    """A time or a 1-D grid of times as a 1-D array, and whether ``t`` was a scalar."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D grid, got shape {times.shape}")
+    return times.reshape(-1), times.ndim == 0
+
+
+def _laws(probabilities: np.ndarray, times: np.ndarray, scalar: bool, formula: str):
+    """One law per time (leading axis of ``probabilities``); the lone law for a scalar time."""
+    laws = tuple(JointDistribution(probabilities=p, time=float(t), formula=formula)
+                 for p, t in zip(probabilities, times))
+    return laws[0] if scalar else laws
+
+
+def joint_distribution(assembly: HamiltonianAssembly, t: float | np.ndarray,
+                       psi_global: QuantumState, psi_locals
+                       ) -> JointDistribution | tuple[JointDistribution, ...]:
     """Joint law of the local positions under the assembled evolution.
 
     Identity-anchored evaluation: branch m of every tuple block contributes
     its phased minus unphased amplitude square on top of the initial product
-    law. Exactly normalized for unit product states.
+    law. Exactly normalized for unit product states. ``t`` is a time or a
+    1-D grid, as in :func:`kbar_joint_distribution`: the overlaps and the
+    unphased amplitudes are computed once, and every (time, branch) pair is
+    carried through one contraction per register.
     """
+    times, scalar = _time_grid(t)
     psi_locals = list(psi_locals)
     if psi_global.dimension != assembly.branching:
         raise DimensionMismatch("global state dimension does not match the assembly")
     d1 = assembly.branching
     dims = assembly.local_dims
     W = _local_overlap_matrices(assembly.local_systems, psi_locals)
-    # a[i, m] = <u_m^{(i)} | psi_global> per tuple i and branch m
-    overlaps = np.einsum("iam,a->im", assembly.block_vectors.conj(), psi_global.amplitudes)
-    phases = np.exp(1j * t * assembly.block_values)
-    prob = np.abs(_outer_product([psi.amplitudes for psi in psi_locals])) ** 2
+    # a[m, i] = <u_m^{(i)} | psi_global> per branch m and tuple i
+    overlaps = np.einsum("iam,a->mi", assembly.block_vectors.conj(), psi_global.amplitudes)
+    phases = np.exp(1j * np.multiply.outer(times, assembly.block_values.T))
+    phased = _contract_lattice((overlaps * phases).reshape((len(times), d1, *dims)), W)
+    plain = _contract_lattice(overlaps.reshape((d1, *dims)), W)
+    prob = np.empty((len(times), *dims))
+    prob[...] = np.abs(_outer_product([psi.amplitudes for psi in psi_locals])) ** 2
+    # added one branch at a time, not summed over the branch axis, so laws keep
+    # the rounding order of the per-branch evaluation earlier CSV output used
     for m in range(d1):
-        phased = (overlaps[:, m] * phases[:, m]).reshape(dims)
-        plain = overlaps[:, m].reshape(dims)
-        prob += np.abs(_contract_lattice(phased, W)) ** 2
-        prob -= np.abs(_contract_lattice(plain, W)) ** 2
-    return JointDistribution(probabilities=prob, time=float(t), formula="general")
+        prob += np.abs(phased[:, m]) ** 2
+        prob -= np.abs(plain[m]) ** 2
+    return _laws(prob, times, scalar, "general")
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +384,12 @@ def kbar_spec(q, local_systems, psi_global: QuantumState | None = None,
     vectors, weighted, rates = _kbar_table(q, [s.values for s in local_systems], tol)
     p = spread = None
     if psi_global is not None:
-        mean, spread = constant_overlap(q, local_systems, psi_global, tol)
+        mean, spread = _overlap_spread(vectors, psi_global)
         p = mean if spread <= tol else None
     return KbarSpec(q=q, labels=tuple(np.ndindex(*(s.dimension for s in local_systems))),
                     vectors=vectors,
                     branches=tuple("weighted" if w else "uniform" for w in weighted),
                     rates=rates, p=p, overlap_spread=spread)
-
-
-def _time_grid(t) -> tuple[np.ndarray, bool]:
-    """A time or a 1-D grid of times as a 1-D array, and whether ``t`` was a scalar."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError(f"times must be a scalar or a 1-D grid, got shape {times.shape}")
-    return times.reshape(-1), times.ndim == 0
-
-
-def _laws(probabilities: np.ndarray, times: np.ndarray, scalar: bool, formula: str):
-    """One law per time (leading axis of ``probabilities``); the lone law for a scalar time."""
-    laws = tuple(JointDistribution(probabilities=p, time=float(t), formula=formula)
-                 for p, t in zip(probabilities, times))
-    return laws[0] if scalar else laws
 
 
 def _kbar_branches(q, local_systems, times: np.ndarray, psi_global: QuantumState,
@@ -441,12 +449,17 @@ def operator_split_joint_distribution(q, local_systems, t: float | np.ndarray,
     return _laws(prob, times, scalar, "operator-split")
 
 
+def _overlap_spread(vectors: np.ndarray, psi_global: QuantumState) -> tuple[float, float]:
+    """Mean and spread of the squared overlaps of the tuple vectors with psi_global."""
+    sq = np.abs(vectors @ psi_global.amplitudes) ** 2
+    return float(sq.mean()), float(sq.max() - sq.min())
+
+
 def constant_overlap(q, local_systems, psi_global: QuantumState,
                      tol: float = GROUPING_TOL) -> tuple[float, float]:
     """Return (p, spread) of the squared tuple-vector overlaps with psi_global."""
     vectors, _, _ = _kbar_table(_validate_q(q), [s.values for s in local_systems], tol)
-    sq = np.abs(vectors @ psi_global.amplitudes) ** 2
-    return float(sq.mean()), float(sq.max() - sq.min())
+    return _overlap_spread(vectors, psi_global)
 
 
 def factorized_distribution(q, local_systems, t: float | np.ndarray, p: float, psi_locals,

@@ -352,6 +352,25 @@ class TestKbarDistributions:
         assert spread_spec.p is None
         assert spread_spec.overlap_spread > 0.9
 
+    def test_spec_builds_the_kbar_table_once(self, model_p2p2, monkeypatch):
+        from hierwalk import quantum
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return table(*args, **kwargs)
+
+        table = quantum._kbar_table
+        monkeypatch.setattr(quantum, "_kbar_table", counting)
+        systems = local_systems(model_p2p2)
+        for psi, constant in ((PSI_H_QUARTER, True), (hw.vertex_state(2, 0), False)):
+            mean, spread = hw.constant_overlap(Q_HALF, systems, psi)
+            builds.clear()
+            spec = hw.kbar_spec(Q_HALF, systems, psi)
+            assert len(builds) == 1
+            assert spec.overlap_spread == spread
+            assert spec.p == (mean if constant else None)
+
     def test_constant_overlap_detection(self, model_p2p2):
         p, spread = hw.constant_overlap(Q_HALF, local_systems(model_p2p2), PSI_H_QUARTER)
         assert p == pytest.approx(0.5, abs=1e-12)

@@ -1,7 +1,8 @@
 """Time-grid laws and the simulate CSV writer.
 
-A 1-D time grid given to the kbar laws and to ``factorized_distribution``
-must give the same laws as one scalar call per time. The CSV writer must
+A 1-D time grid given to the kbar laws, to ``factorized_distribution`` and
+to the general ``joint_distribution`` must give the same laws as one scalar
+call per time. The CSV writer must
 give the same bytes as the per-row writer it replaced, kept here as the
 reference.
 """
@@ -96,6 +97,38 @@ def test_factorized_grid_matches_scalar_calls(grid):
         lambda t: hw.factorized_distribution(Q4, systems, t, 0.3, psis), grid)
 
 
+GENERAL_MODELS = {
+    "1 register": lambda: hw.hierarchical_model(hw.loop_vertex(), [hw.path_graph(5)]),
+    "4 registers": lambda: hw.hierarchical_model(hw.cycle_graph(4), [
+        hw.path_graph(3), hw.cycle_graph(4), hw.path_graph(2), hw.star_graph(3)]),
+}
+
+
+def _general_inputs(name, seed):
+    model = GENERAL_MODELS[name]()
+    assembly = hw.assemble_hamiltonian(np.eye(model.branching) - model.global_walk.laplacian,
+                                       tuple(loc.system for loc in model.locals))
+    _, psi_g, psis = _inputs(model, seed)
+    return assembly, psi_g, psis
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("model_name", GENERAL_MODELS)
+def test_general_grid_matches_scalar_calls(model_name, grid):
+    assembly, psi_g, psis = _general_inputs(model_name, 8)
+    _assert_grid_matches_scalars(
+        lambda t: hw.joint_distribution(assembly, t, psi_g, psis), grid)
+
+
+@pytest.mark.parametrize("model_name", GENERAL_MODELS)
+def test_general_grid_edge_shapes(model_name):
+    assembly, psi_g, psis = _general_inputs(model_name, 9)
+    assert hw.joint_distribution(assembly, [], psi_g, psis) == ()
+    assert hw.joint_distribution(assembly, np.array([]), psi_g, psis) == ()
+    with pytest.raises(ValueError):
+        hw.joint_distribution(assembly, [[0.1, 2.0]], psi_g, psis)
+
+
 def test_grid_accepts_lists_and_returns_tuples():
     model = MODELS["3 registers"]()
     systems, psi_g, psis = _inputs(model, 5)
@@ -187,7 +220,6 @@ def test_cli_csv_matches_per_row_writer(tmp_path, name):
                                           scn.psi_global, scn.psi_locals)
     else:
         assembly = hw.assemble_hamiltonian(scn.global_hamiltonian(), scn.local_systems())
-        laws = [hw.joint_distribution(assembly, t, scn.psi_global, scn.psi_locals)
-                for t in scn.times]
+        laws = hw.joint_distribution(assembly, scn.times, scn.psi_global, scn.psi_locals)
     expected = _reference_csv(tuple(dims), scn.times, [d.probabilities for d in laws])
     assert (tmp_path / "out" / "distributions.csv").read_bytes() == expected.encode()
