@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -150,9 +148,12 @@ def stationary_measure(g: GraphModel) -> np.ndarray:
         raise MissingTransition("graph carries no transition matrix")
     P = g.transition
     n = g.vertex_count
-    ncomp, _ = connected_components(csr_matrix(P > 0), directed=True, connection="strong")
-    if ncomp > 1:
-        raise NotIrreducible(f"support splits into {ncomp} strongly connected components")
+    # after s squarings of (P > 0) | I, entry (j, k) says k is within 2**s steps of j
+    reach = ((P > 0) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    if not np.all(reach > 0):
+        raise NotIrreducible("support of the transition matrix is not strongly connected")
     # Least squares on the stacked system (P^T - I) pi = 0, sum(pi) = 1.
     A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)

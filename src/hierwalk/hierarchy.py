@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, qr
+from scipy.linalg import qr
 
 from .errors import (
     DimensionCapExceeded,
@@ -130,38 +130,6 @@ def lift_local(A: np.ndarray, dims, j: int) -> np.ndarray:
     return out
 
 
-def _selector(P_H: np.ndarray, j: int, convention: str) -> np.ndarray:
-    sel = np.zeros_like(P_H)
-    if convention == "destination":
-        sel[:, j] = P_H[:, j]
-    elif convention == "source":
-        sel[j, :] = P_H[j, :]
-    else:
-        raise ValueError(f"unknown selection convention {convention!r}")
-    return sel
-
-
-def build_hdtrw(model: HierarchicalModel, convention: str = "destination",
-                cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense one-step transition matrix of the hierarchical walk.
-
-    Materialization is refused above ``cap``; use :func:`apply_hdtrw` there.
-    """
-    if model.dimension > cap:
-        raise DimensionCapExceeded(f"dimension {model.dimension} exceeds cap {cap}; "
-                                   "use apply_hdtrw for matrix-free application")
-    P_H = model.global_walk.graph.transition
-    if P_H is None:
-        raise MissingTransition("global graph has no transition matrix")
-    dims = model.local_dims
-    out = np.zeros((model.dimension, model.dimension))
-    for j, loc in enumerate(model.locals):
-        if loc.graph.transition is None:
-            raise MissingTransition(f"local graph {j} has no transition matrix")
-        out += np.kron(_selector(P_H, j, convention), lift_local(loc.graph.transition, dims, j))
-    return out
-
-
 def _apply_register(matrix: np.ndarray, field: np.ndarray, register: int) -> np.ndarray:
     moved = np.tensordot(matrix, field, axes=([1], [register]))
     return np.moveaxis(moved, 0, register)
@@ -169,9 +137,10 @@ def _apply_register(matrix: np.ndarray, field: np.ndarray, register: int) -> np.
 
 def _apply_selected(P_H: np.ndarray, local_mats, x: np.ndarray, dims,
                     convention: str) -> np.ndarray:
-    """Apply sum_j selector_j(P_H) (x) lift_j(local_mats[j]) to a flat vector."""
+    """Apply sum_j selector_j(P_H) (x) lift_j(local_mats[j]) to x of shape (N,) or (N, k)."""
     d1 = P_H.shape[0]
-    field = np.asarray(x).reshape((d1, *dims))
+    x = np.asarray(x)
+    field = x.reshape((d1, *dims, *x.shape[1:]))
     if convention == "destination":
         # local graph indexed by the destination: step register j of slice j,
         # then mix slices with P_H
@@ -182,7 +151,34 @@ def _apply_selected(P_H: np.ndarray, local_mats, x: np.ndarray, dims,
         out = np.stack([_apply_register(local_mats[j], mixed[j], j) for j in range(d1)])
     else:
         raise ValueError(f"unknown selection convention {convention!r}")
-    return out.reshape(-1)
+    return out.reshape(x.shape)
+
+
+def _dense_walk(model: HierarchicalModel, convention: str, cap: int, times=None) -> np.ndarray:
+    """The matrix-free walk applied to the identity; ``times`` selects the deformed walk."""
+    if model.dimension > cap:
+        name = "apply_hdtrw" if times is None else "apply_hctrw"
+        raise DimensionCapExceeded(f"dimension {model.dimension} exceeds cap {cap}; "
+                                   f"use {name} for matrix-free application")
+    P_H = model.global_walk.graph.transition
+    if P_H is None:
+        raise MissingTransition("global graph has no transition matrix")
+    local_mats = ([loc.graph.transition for loc in model.locals] if times is None
+                  else _semigroups(model, times))
+    for j, A in enumerate(local_mats):
+        if A is None:
+            raise MissingTransition(f"local graph {j} has no transition matrix")
+    return _apply_selected(P_H, local_mats, np.eye(model.dimension), model.local_dims,
+                           convention)
+
+
+def build_hdtrw(model: HierarchicalModel, convention: str = "destination",
+                cap: int = DENSE_CAP) -> np.ndarray:
+    """Dense one-step transition matrix of the hierarchical walk.
+
+    Materialization is refused above ``cap``; use :func:`apply_hdtrw` there.
+    """
+    return _dense_walk(model, convention, cap)
 
 
 def apply_hdtrw(model: HierarchicalModel, x: np.ndarray,
@@ -257,31 +253,25 @@ def hdtrw_eigenpairs(model: HierarchicalModel, convention: str = "destination",
 
 
 def _checked_times(model: HierarchicalModel, times) -> np.ndarray:
+    """One finite and nonnegative time per local graph."""
     times = np.asarray(times, dtype=float)
     if times.shape != (model.branching,):
         raise DimensionMismatch(f"need {model.branching} times, got {times.shape}")
-    if np.any(times < 0):
-        raise NegativeTime(f"times must be nonnegative, got {times}")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise NegativeTime(f"times must be finite and nonnegative, got {times}")
     return times
 
 
 def _semigroups(model: HierarchicalModel, times) -> list[np.ndarray]:
+    """exp(-t_j (I - P_j)) = R diag(exp(-t_j (1 - lambda))) L from each held spectrum."""
     times = _checked_times(model, times)
-    return [expm(-times[j] * (np.eye(loc.dimension) - loc.graph.transition))
-            for j, loc in enumerate(model.locals)]
+    return [(loc.spectrum.right_vectors * hctrw_lambda(loc.spectrum.values, t))
+            @ loc.spectrum.left_vectors for t, loc in zip(times, model.locals)]
 
 
 def build_hctrw(model: HierarchicalModel, times, cap: int = DENSE_CAP) -> np.ndarray:
     """Dense deformed transition matrix with per-graph heat semigroups."""
-    if model.dimension > cap:
-        raise DimensionCapExceeded(f"dimension {model.dimension} exceeds cap {cap}; "
-                                   "use apply_hctrw for matrix-free application")
-    P_H = model.global_walk.graph.transition
-    dims = model.local_dims
-    out = np.zeros((model.dimension, model.dimension))
-    for j, semigroup in enumerate(_semigroups(model, times)):
-        out += np.kron(_selector(P_H, j, "destination"), lift_local(semigroup, dims, j))
-    return out
+    return _dense_walk(model, "destination", cap, times)
 
 
 def apply_hctrw(model: HierarchicalModel, times, x: np.ndarray) -> np.ndarray:

@@ -5,17 +5,17 @@ or :mod:`hierwalk.spectral`; the duplication is deliberate so that agreement
 between an oracle and a production path actually validates both (a test
 parses this module to keep it so). The matrix exponential is a
 scaled-and-squared Taylor series (with an eigendecomposition shortcut for
-Hermitian input) and the walk operator is assembled by explicit loops over
-matrix entries. The Hamiltonian and the joint law come from the oracle's
-own eigensystems and phase rule: all tuple blocks are solved in one stacked
-``eigh``, and the sums over tuples are contractions with Kronecker products
-of the local eigenbases, formed in full.
+Hermitian input). The walk operators are assembled entry by entry, from
+masks over broadcast index pairs, with heat semigroups from that series.
+The Hamiltonian and the joint law come from the oracle's own eigensystems
+and phase rule: all tuple blocks are solved in one stacked ``eigh``, and
+the sums over tuples are contractions with Kronecker products of the local
+eigenbases, formed in full.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,26 +89,34 @@ def dense_hdtrw(P_H: np.ndarray, local_Ps, convention: str = "destination") -> n
     Entry ((y,k),(y',k')) multiplies the global step probability by the
     selected local graph's step and identity on every other register. The
     selected register is y' under the destination convention, y under the
-    source convention.
+    source convention. Both flat indices are broadcast against each other,
+    with one equality mask per register.
     """
     P_H = np.asarray(P_H, dtype=float)
     local_Ps = [np.asarray(P, dtype=float) for P in local_Ps]
-    d1 = P_H.shape[0]
     dims = [P.shape[0] for P in local_Ps]
-    N = d1 * int(np.prod(dims))
-    out = np.zeros((N, N))
-    row = 0
-    for y in range(d1):
-        for ks in itertools.product(*(range(n) for n in dims)):
-            col = 0
-            for y2 in range(d1):
-                sel = y2 if convention == "destination" else y
-                for ks2 in itertools.product(*(range(n) for n in dims)):
-                    if all(ks[j] == ks2[j] for j in range(len(dims)) if j != sel):
-                        out[row, col] = P_H[y, y2] * local_Ps[sel][ks[sel], ks2[sel]]
-                    col += 1
-            row += 1
+    index = np.indices((P_H.shape[0], *dims)).reshape(len(dims) + 1, -1)
+    rows, cols = index[:, :, None], index[:, None, :]
+    same = rows[1:] == cols[1:]
+    agree = np.sum(same, axis=0)
+    sel = cols[0] if convention == "destination" else rows[0]
+    global_step = P_H[rows[0], cols[0]]
+    out = np.zeros(global_step.shape)
+    for j, P in enumerate(local_Ps):
+        mask = (sel == j) & (agree - same[j] == len(dims) - 1)
+        out[mask] = (global_step * P[rows[j + 1], cols[j + 1]])[mask]
     return out
+
+
+def dense_hctrw(P_H: np.ndarray, local_Ps, times) -> np.ndarray:
+    """Entrywise deformed walk matrix: :func:`dense_hdtrw` on Taylor heat semigroups.
+
+    Local j steps by exp(-t_j (I - P_j)) from :func:`matrix_exp`, selected by
+    the destination of the global move; one time per local graph.
+    """
+    semigroups = [matrix_exp(-float(t) * (np.eye(len(P)) - np.asarray(P, dtype=float)))
+                  for t, P in zip(times, local_Ps, strict=True)]
+    return dense_hdtrw(P_H, semigroups, "destination")
 
 
 def _eigh_canonical(A: np.ndarray):

@@ -207,18 +207,16 @@ def evolve(assembly: HamiltonianAssembly, t: float, psi: QuantumState) -> Quantu
                                 f"assembly expects {assembly.dimension}")
     d1 = assembly.branching
     dims = assembly.local_dims
-    field = psi.amplitudes.reshape((d1, *dims))
     # Rotate each local register into its eigenbasis.
-    for j, s in enumerate(assembly.local_systems):
-        field = _apply_register(s.vectors.conj().T, field, j + 1)
+    field = _contract_lattice(psi.amplitudes.reshape((d1, *dims)),
+                              [s.vectors.conj().T for s in assembly.local_systems])
     flat = field.reshape(d1, -1)
     phases = np.exp(1j * t * assembly.block_values)
     rotated = np.einsum("lam,lm,lbm,bl->al",
                         assembly.block_vectors, phases,
                         assembly.block_vectors.conj(), flat)
-    field = rotated.reshape((d1, *dims))
-    for j, s in enumerate(assembly.local_systems):
-        field = _apply_register(s.vectors, field, j + 1)
+    field = _contract_lattice(rotated.reshape((d1, *dims)),
+                              [s.vectors for s in assembly.local_systems])
     # unitarity keeps the norm; QuantumState's validation would flag drift
     return QuantumState(field.reshape(-1))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import hierwalk as hw
+import hierwalk.cli as cli
 from hierwalk.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -190,6 +192,36 @@ class TestVerify:
         assert "ctqw:spectral-vs-dense" in names
         assert "joint:consistency-chain" in names
         assert "oracle:series-vs-eigh" in names
+
+    def test_perturbed_held_spectrum_fails_spectral_reconstruction(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """The builder and the reconstruction both read the held local spectra;
+        only the oracle's own Taylor semigroups notice when one is wrong."""
+        build_model = cli.hierarchical_model
+
+        def perturbed(global_graph, local_graphs):
+            model = build_model(global_graph, local_graphs)
+            loc = model.locals[0]
+            values = loc.spectrum.values.copy()
+            values[np.argmin(values)] += 1e-3  # lambda = 1 stays, so rows still sum to 1
+            spectrum = hw.TransitionSpectrum(values, loc.spectrum.right_vectors,
+                                             loc.spectrum.left_vectors)
+            return dataclasses.replace(
+                model, locals=(dataclasses.replace(loc, spectrum=spectrum), *model.locals[1:]))
+
+        monkeypatch.setattr(cli, "hierarchical_model", perturbed)
+        scen = write_scenario(tmp_path, kbar_scenario([0.0]))
+        rc = main(["verify", "--scenario", str(scen), "--suite", "evolution"])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert rc == 3
+        assert not checks["hctrw:spectral-reconstruction"]["passed"]
+        assert checks["hctrw:row-stochastic"]["passed"]
+        # a builder-vs-reconstruction comparison would not have seen it
+        model = perturbed(hw.kbar_graph([0.5, 0.5]), [hw.path_graph(2), hw.path_graph(2)])
+        times = np.full(model.branching, 1.0)
+        np.testing.assert_allclose(hw.build_hctrw(model, times),
+                                   hw.reconstruct_hctrw(model, hw.hctrw_spectral(model, times)),
+                                   rtol=0, atol=1e-12)
 
     def test_report_file_written(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, kbar_scenario([0.0]))

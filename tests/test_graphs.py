@@ -96,8 +96,20 @@ class TestStationaryMeasure:
 
     def test_disconnected_rejected(self):
         g = hw.uniform_walk_transition(hw.GraphModel(4, {(0, 1), (2, 3)}))
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(NotIrreducible, match="not strongly connected"):
             hw.stationary_measure(g)
+
+    def test_one_way_support_rejected(self):
+        # connected as a graph, but no step leads back to vertex 0
+        P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        g = hw.GraphModel(3, {(0, 1), (1, 2)}, transition=P)
+        with pytest.raises(NotIrreducible, match="not strongly connected"):
+            hw.stationary_measure(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 10, 12])
+    def test_long_path_is_strongly_connected(self, n):
+        g = hw.uniform_walk_transition(hw.path_graph(n) if n > 1 else hw.loop_vertex())
+        assert hw.stationary_measure(g).shape == (n,)
 
 
 class TestDetailedBalance:

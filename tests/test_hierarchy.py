@@ -174,6 +174,16 @@ class TestBuildHctrw:
         with pytest.raises(NegativeTime):
             hw.build_hctrw(model_p2p2, [0.5, -0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_time_rejected_by_build_hctrw(self, model_p2p2, bad):
+        with pytest.raises(NegativeTime, match="finite and nonnegative"):
+            hw.build_hctrw(model_p2p2, [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_time_rejected_by_apply_hctrw(self, model_p2p2, bad):
+        with pytest.raises(NegativeTime, match="finite and nonnegative"):
+            hw.apply_hctrw(model_p2p2, [bad, 1.0], np.ones(model_p2p2.dimension))
+
     def test_wrong_time_count(self, model_p2p2):
         with pytest.raises(DimensionMismatch):
             hw.build_hctrw(model_p2p2, [0.5])
@@ -261,6 +271,11 @@ class TestHctrwSpectral:
                 direct = hw.build_hctrw(model, times)
                 rec = hw.reconstruct_hctrw(model, hw.hctrw_spectral(model, times))
                 assert np.max(np.abs(direct - rec)) <= 1e-8, (name, tval)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_time_rejected_by_hctrw_spectral(self, model_p2p2, bad):
+        with pytest.raises(NegativeTime, match="finite and nonnegative"):
+            hw.hctrw_spectral(model_p2p2, [bad, 1.0])
 
     def test_mixed_times_reconstruction(self, model_p2c3):
         times = np.array([0.25, 1.7])

@@ -92,12 +92,16 @@ class TestDenseHdtrw:
 
     def test_spectral_reconstruction_cross_check(self, model_p2p2):
         """Blockwise decomposition of the deformed walk rebuilt against the
-        direct semigroup assembly."""
+        direct semigroup assembly and the oracle's entrywise one."""
         times = np.array([0.4, 0.9])
         rec = hw.reconstruct_hctrw(model_p2p2, hw.hctrw_spectral(model_p2p2, times))
         direct = hw.build_hctrw(model_p2p2, times)
         report = oracle.compare(rec, direct, 1e-8)
         assert report.passed
+        entrywise = oracle.dense_hctrw(model_p2p2.global_walk.graph.transition,
+                                       [loc.graph.transition for loc in model_p2p2.locals],
+                                       times)
+        assert oracle.compare(rec, entrywise, 1e-8).passed
 
 
 class TestDenseJoint:

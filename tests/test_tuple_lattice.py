@@ -4,7 +4,9 @@ Each ``_ref_*`` function below is the straightforward one-tuple-at-a-time
 evaluation: one ``eigh``/``eig`` per block, one ``kron`` chain per local
 factor. The library evaluates the same quantities on the whole lattice at
 once; stacked solves run the same LAPACK routine on the same matrices, so
-those outputs must agree bit for bit, dtypes included.
+those outputs must agree bit for bit, dtypes included. The walk operators
+keep their earlier references too: the selector-times-lifted-local ``kron``
+sums (with scipy's ``expm`` semigroups) and the oracle's nested entry loop.
 """
 
 import itertools
@@ -12,10 +14,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import qr
+from scipy.linalg import expm, qr
 
 import hierwalk as hw
+from hierwalk import oracle
 from hierwalk.errors import DimensionCapExceeded, NegativeLocalEigenvalue, NegativeWeight
+from hierwalk.hierarchy import _apply_selected, _semigroups
 from hierwalk.spectral import GROUPING_TOL
 
 from conftest import global_hamiltonian
@@ -122,6 +126,53 @@ def _ref_hdtrw_eigenpairs(model, convention="destination", defect_tol=1e-8):
         for m in keep:
             pairs.append((complex(w[m]), np.kron(W[:, m], local_factor), lab, int(m)))
     return pairs, defective
+
+
+def _ref_selector(P_H, j, convention):
+    sel = np.zeros_like(P_H)
+    if convention == "destination":
+        sel[:, j] = P_H[:, j]
+    else:
+        sel[j, :] = P_H[j, :]
+    return sel
+
+
+def _ref_walk(P_H, local_mats, dims, convention):
+    out = np.zeros((P_H.shape[0] * int(np.prod(dims)),) * 2)
+    for j, A in enumerate(local_mats):
+        out += np.kron(_ref_selector(P_H, j, convention), hw.lift_local(A, dims, j))
+    return out
+
+
+def _ref_build_hdtrw(model, convention="destination"):
+    return _ref_walk(model.global_walk.graph.transition,
+                     [loc.graph.transition for loc in model.locals], model.local_dims, convention)
+
+
+def _ref_build_hctrw(model, times):
+    semigroups = [expm(-t * (np.eye(loc.dimension) - loc.graph.transition))
+                  for t, loc in zip(times, model.locals)]
+    return _ref_walk(model.global_walk.graph.transition, semigroups, model.local_dims,
+                     "destination")
+
+
+def _ref_dense_hdtrw(P_H, local_Ps, convention="destination"):
+    d1 = P_H.shape[0]
+    dims = [P.shape[0] for P in local_Ps]
+    N = d1 * int(np.prod(dims))
+    out = np.zeros((N, N))
+    row = 0
+    for y in range(d1):
+        for ks in itertools.product(*(range(n) for n in dims)):
+            col = 0
+            for y2 in range(d1):
+                sel = y2 if convention == "destination" else y
+                for ks2 in itertools.product(*(range(n) for n in dims)):
+                    if all(ks[j] == ks2[j] for j in range(len(dims)) if j != sel):
+                        out[row, col] = P_H[y, y2] * local_Ps[sel][ks[sel], ks2[sel]]
+                    col += 1
+            row += 1
+    return out
 
 
 def _ref_kbar(q, systems, tol=GROUPING_TOL):
@@ -297,6 +348,45 @@ def test_hdtrw_eigenpairs_matches_per_tuple(model, convention):
         assert pair.block_index == index
 
 
+@pytest.mark.parametrize("convention", ["destination", "source"])
+def test_build_hdtrw_matches_kron_reference(model, convention):
+    _assert_identical(hw.build_hdtrw(model, convention), _ref_build_hdtrw(model, convention))
+
+
+def test_build_hctrw_matches_kron_expm_reference(model):
+    times = np.linspace(0.3, 1.7, model.branching)
+    np.testing.assert_allclose(hw.build_hctrw(model, times), _ref_build_hctrw(model, times),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("convention", ["destination", "source"])
+def test_oracle_dense_hdtrw_matches_nested_loops(model, convention):
+    P_H = model.global_walk.graph.transition
+    local_Ps = [loc.graph.transition for loc in model.locals]
+    _assert_identical(oracle.dense_hdtrw(P_H, local_Ps, convention),
+                      _ref_dense_hdtrw(P_H, local_Ps, convention))
+
+
+def test_oracle_dense_hctrw_matches_kron_expm_reference(model):
+    times = np.linspace(0.3, 1.7, model.branching)
+    direct = oracle.dense_hctrw(model.global_walk.graph.transition,
+                                [loc.graph.transition for loc in model.locals], times)
+    np.testing.assert_allclose(direct, _ref_build_hctrw(model, times), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("convention", ["destination", "source"])
+def test_apply_selected_on_a_stack_matches_single_calls(model, convention):
+    P_H = model.global_walk.graph.transition
+    local_Ps = [loc.graph.transition for loc in model.locals]
+    X = np.random.default_rng(5).normal(size=(model.dimension, 4))
+    stacked = _apply_selected(P_H, local_Ps, X, model.local_dims, convention)
+    singles = np.stack([_apply_selected(P_H, local_Ps, X[:, i], model.local_dims, convention)
+                        for i in range(X.shape[1])], axis=1)
+    assert stacked.shape == X.shape
+    # a batched tensordot may take a different BLAS kernel than a single column
+    np.testing.assert_allclose(stacked, singles, rtol=0, atol=1e-15)
+
+
 def test_kbar_table_matches_per_tuple():
     model = _kbar_c5p5c5()
     systems = _systems(model)
@@ -424,6 +514,18 @@ def test_bipartite_locals_mix_real_and_complex_blocks():
     spectrum = hw.hctrw_spectral(model, times)
     np.testing.assert_allclose(hw.reconstruct_hctrw(model, spectrum),
                                hw.build_hctrw(model, times), rtol=0, atol=1e-10)
+
+
+def test_bipartite_local_semigroup_matches_taylor_series():
+    model = _bipartite_p3c4p2()
+    for t in (0.0, 0.4, 2.0, 7.5):
+        semigroups = _semigroups(model, np.full(model.branching, t))
+        for loc, S in zip(model.locals, semigroups):
+            assert np.min(loc.spectrum.values) == pytest.approx(-1.0, abs=1e-12)
+            taylor = oracle.matrix_exp(-t * (np.eye(loc.dimension) - loc.graph.transition))
+            np.testing.assert_allclose(S, taylor, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(S.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+            assert np.min(S) >= -1e-14
 
 
 def test_model_at_the_dense_cap():
