@@ -45,6 +45,7 @@ from .spectral import (
 
 DENSE_CAP = 4096
 DEFECT_TOL = 1e-8
+_DENSE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,13 @@ def _dense_walk(model: HierarchicalModel, convention: str, cap: int, times=None)
     for j, A in enumerate(local_mats):
         if A is None:
             raise MissingTransition(f"local graph {j} has no transition matrix")
-    return _apply_selected(P_H, local_mats, np.eye(model.dimension), model.local_dims,
-                           convention)
+    N = model.dimension
+    out = np.empty((N, N))
+    for start in range(0, N, _DENSE_BLOCK):  # identity columns in blocks cap the memory
+        block = np.eye(N, min(_DENSE_BLOCK, N - start), -start)
+        out[:, start:start + block.shape[1]] = _apply_selected(P_H, local_mats, block,
+                                                              model.local_dims, convention)
+    return out
 
 
 def build_hdtrw(model: HierarchicalModel, convention: str = "destination",

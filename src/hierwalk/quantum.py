@@ -16,12 +16,12 @@ form: each block propagator is expanded as I + sum_m (e^{i t w_m} - 1)
     P[k] = |A_I[k]|^2 + sum_m ( |A_m(t)[k]|^2 - |A_m(0)[k]|^2 ),
 
 where A_I is the initial product amplitude and A_m accumulates branch m
-over all tuples. Written this way, blocks with degenerate zero eigenvalues
-contribute nothing basis-dependent (their phased and unphased amplitudes
-cancel exactly), which makes the result well defined and reproduces the
-closed-form complete-graph evaluation. Blocks that vanish identically are
-anchored to the global Hamiltonian's own eigenbasis, the zero-coupling
-limit of the sandwich.
+over all tuples; the closed-form complete-graph law is this formula on a
+one-branch table. Since A_m adds branch m of different tuples before
+squaring, the law depends on the phases of the block eigenvectors and on
+the bases chosen inside degenerate eigenspaces (``evolve`` depends on
+neither). Blocks that vanish identically are anchored to the global
+Hamiltonian's own eigenbasis, the zero-coupling limit of the sandwich.
 
 Note the evaluated law is a quadratic form in the evolved state, not a
 projective measurement in a fixed basis; it sums to one exactly but single
@@ -45,7 +45,7 @@ from .errors import (
     NegativeWeight,
 )
 from .graphs import GraphModel
-from .hierarchy import DENSE_CAP, _apply_register, walk_spectral_data
+from .hierarchy import DENSE_CAP, walk_spectral_data
 from .spectral import GROUPING_TOL, EigenSystem, _eigh_stack, _khatri_rao, _tuple_table, eigh
 
 NORM_TOL = 1e-12
@@ -225,27 +225,24 @@ def evolve(assembly: HamiltonianAssembly, t: float, psi: QuantumState) -> Quantu
 # Joint distributions
 # ---------------------------------------------------------------------------
 
-def _local_overlap_matrices(local_systems, psi_locals) -> list[np.ndarray]:
-    """W_j[k, l] = V_j[k, l] <v_l | psi_j> for each local register."""
-    mats = []
-    for s, psi in zip(local_systems, psi_locals):
-        if psi.dimension != s.dimension:
-            raise DimensionMismatch("local state dimension does not match its eigensystem")
-        overlaps = s.vectors.conj().T @ psi.amplitudes
-        mats.append(s.vectors * overlaps[None, :])
-    return mats
-
-
 def _contract_lattice(coeff: np.ndarray, mats) -> np.ndarray:
     """Contract the trailing tuple-lattice axes of ``coeff`` with one matrix each.
 
-    Axes in front of the lattice (a time grid) are carried along as a batch.
+    Axes in front of the lattice (times, branches, or the global register)
+    form a batch: every entry gets a product of one fixed shape, so its
+    result does not depend on how many entries share the call.
     """
-    lead = coeff.ndim - len(mats)
-    out = coeff
+    lattice = coeff.shape[coeff.ndim - len(mats):]
+    size = int(np.prod(lattice))
+    out = coeff.reshape((-1, *lattice))
     for j, W in enumerate(mats):
-        out = _apply_register(W, out, lead + j)
-    return out
+        moved = np.moveaxis(out, j + 1, 1)
+        # cast here, keeping W's layout: matmul's own cast copies a transposed W
+        # to C order, and a one-column product then takes another BLAS path
+        W = W.astype(np.result_type(W, out), copy=False)
+        rows = W @ moved.reshape(len(out), lattice[j], size // lattice[j])
+        out = np.moveaxis(rows.reshape(moved.shape), 1, j + 1)
+    return out.reshape(coeff.shape)
 
 
 def _outer_product(vectors) -> np.ndarray:
@@ -271,6 +268,31 @@ def _laws(probabilities: np.ndarray, times: np.ndarray, scalar: bool, formula: s
     return laws[0] if scalar else laws
 
 
+def _branch_laws(local_systems, vectors, rates, times: np.ndarray, psi_global: QuantumState,
+                 psi_locals):
+    """Identity-anchored laws of a tuple table, one per time.
+
+    Branch m of tuple i is ``vectors[i, :, m]``, phased by exp(i t rates[i, m]).
+    The law is the initial product law plus, summed over branches, the phased
+    minus the unphased amplitude square. Returns the laws (time axis first),
+    the local overlap matrices W_j = V_j diag(V_j^H psi_j), and the phased
+    (time, branch, lattice) and unphased (branch, lattice) amplitudes.
+    """
+    if psi_global.dimension != vectors.shape[1]:
+        raise DimensionMismatch("global state dimension does not match the tuple blocks")
+    if any(psi.dimension != s.dimension for s, psi in zip(local_systems, psi_locals)):
+        raise DimensionMismatch("local state dimension does not match its eigensystem")
+    W = [s.vectors * (s.vectors.conj().T @ psi.amplitudes)
+         for s, psi in zip(local_systems, psi_locals)]
+    initial = _outer_product([np.abs(psi.amplitudes) ** 2 for psi in psi_locals])
+    overlaps = np.moveaxis(vectors.conj(), 2, 0) @ psi_global.amplitudes
+    phases = np.exp(1j * np.multiply.outer(times, rates.T))
+    phased = _contract_lattice((overlaps * phases).reshape(phases.shape[:2] + initial.shape), W)
+    plain = _contract_lattice(overlaps.reshape((-1, *initial.shape)), W)
+    laws = (np.abs(phased) ** 2).sum(axis=1) + initial - (np.abs(plain) ** 2).sum(axis=0)
+    return laws, W, phased, plain
+
+
 def joint_distribution(assembly: HamiltonianAssembly, t: float | np.ndarray,
                        psi_global: QuantumState, psi_locals
                        ) -> JointDistribution | tuple[JointDistribution, ...]:
@@ -279,30 +301,12 @@ def joint_distribution(assembly: HamiltonianAssembly, t: float | np.ndarray,
     Identity-anchored evaluation: branch m of every tuple block contributes
     its phased minus unphased amplitude square on top of the initial product
     law. Exactly normalized for unit product states. ``t`` is a time or a
-    1-D grid, as in :func:`kbar_joint_distribution`: the overlaps and the
-    unphased amplitudes are computed once, and every (time, branch) pair is
-    carried through one contraction per register.
+    1-D grid; the law at a time has the same bits alone or in any grid.
     """
     times, scalar = _time_grid(t)
-    psi_locals = list(psi_locals)
-    if psi_global.dimension != assembly.branching:
-        raise DimensionMismatch("global state dimension does not match the assembly")
-    d1 = assembly.branching
-    dims = assembly.local_dims
-    W = _local_overlap_matrices(assembly.local_systems, psi_locals)
-    # a[m, i] = <u_m^{(i)} | psi_global> per branch m and tuple i
-    overlaps = np.einsum("iam,a->mi", assembly.block_vectors.conj(), psi_global.amplitudes)
-    phases = np.exp(1j * np.multiply.outer(times, assembly.block_values.T))
-    phased = _contract_lattice((overlaps * phases).reshape((len(times), d1, *dims)), W)
-    plain = _contract_lattice(overlaps.reshape((d1, *dims)), W)
-    prob = np.empty((len(times), *dims))
-    prob[...] = np.abs(_outer_product([psi.amplitudes for psi in psi_locals])) ** 2
-    # added one branch at a time, not summed over the branch axis, so laws keep
-    # the rounding order of the per-branch evaluation earlier CSV output used
-    for m in range(d1):
-        prob += np.abs(phased[:, m]) ** 2
-        prob -= np.abs(plain[m]) ** 2
-    return _laws(prob, times, scalar, "general")
+    laws, *_ = _branch_laws(assembly.local_systems, assembly.block_vectors,
+                            assembly.block_values, times, psi_global, list(psi_locals))
+    return _laws(laws, times, scalar, "general")
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +396,12 @@ def kbar_spec(q, local_systems, psi_global: QuantumState | None = None,
 
 def _kbar_branches(q, local_systems, times: np.ndarray, psi_global: QuantumState,
                    psi_locals, tol: float):
-    """Local overlap matrices and the phased / unphased kbar branch amplitudes.
-
-    Branch amplitude of tuple T is a_T = <v_T | psi_global>, phased by
-    exp(i t s_T) with rate s_T = sum_j (1-lambda_j) q_j. The table is built
-    once; the phased amplitudes carry the time grid as their leading axis,
-    so one contraction per register serves every time.
-    """
-    q = _validate_q(q)
+    """:func:`_branch_laws` of the kbar table: the rank-1 global Hamiltonian
+    leaves each tuple block one branch, of rate sum_j (1-lambda_j) q_j."""
     local_systems = tuple(local_systems)
-    dims = tuple(s.dimension for s in local_systems)
-    W = _local_overlap_matrices(local_systems, psi_locals)
-    vectors, _, rates = _kbar_table(q, [s.values for s in local_systems], tol)
-    a = (vectors @ psi_global.amplitudes).reshape(dims)
-    phases = np.exp(1j * np.multiply.outer(times, rates)).reshape((len(times), *dims))
-    return W, _contract_lattice(a * phases, W), _contract_lattice(a, W)
+    vectors, _, rates = _kbar_table(_validate_q(q), [s.values for s in local_systems], tol)
+    return _branch_laws(local_systems, vectors[:, :, None], rates[:, None], times,
+                        psi_global, psi_locals)
 
 
 def kbar_joint_distribution(q, local_systems, t: float | np.ndarray, psi_global: QuantumState,
@@ -421,11 +416,8 @@ def kbar_joint_distribution(q, local_systems, t: float | np.ndarray, psi_global:
     of them, one per time, from a single kbar table and contraction.
     """
     times, scalar = _time_grid(t)
-    psi_locals = list(psi_locals)
-    _, phased, plain = _kbar_branches(q, local_systems, times, psi_global, psi_locals, tol)
-    middle = _outer_product([np.abs(psi.amplitudes) ** 2 for psi in psi_locals])
-    prob = np.abs(phased) ** 2 + middle - np.abs(plain) ** 2
-    return _laws(prob, times, scalar, "three-term")
+    laws, *_ = _kbar_branches(q, local_systems, times, psi_global, list(psi_locals), tol)
+    return _laws(laws, times, scalar, "three-term")
 
 
 def operator_split_joint_distribution(q, local_systems, t: float | np.ndarray,
@@ -441,9 +433,11 @@ def operator_split_joint_distribution(q, local_systems, t: float | np.ndarray,
     :func:`kbar_joint_distribution`.
     """
     times, scalar = _time_grid(t)
-    W, phased, plain = _kbar_branches(q, local_systems, times, psi_global, list(psi_locals), tol)
-    identity_amp = _contract_lattice(np.ones(plain.shape, dtype=complex), W)
-    prob = np.abs(identity_amp) ** 2 + np.abs(phased) ** 2 - np.abs(plain) ** 2
+    _, W, phased, plain = _kbar_branches(q, local_systems, times, psi_global,
+                                         list(psi_locals), tol)
+    identity_amp = _contract_lattice(np.ones(plain.shape[1:], dtype=complex), W)
+    prob = (np.abs(identity_amp) ** 2 + (np.abs(phased) ** 2).sum(axis=1)
+            - (np.abs(plain) ** 2).sum(axis=0))
     return _laws(prob, times, scalar, "operator-split")
 
 

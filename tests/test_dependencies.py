@@ -1,7 +1,9 @@
-"""Which third-party modules the package pulls in.
+"""Which modules the package pulls in, and what it takes from its own modules.
 
 numpy covers everything but the pivoted QR on defective eigenvector blocks
-in ``hierarchy.hdtrw_eigenpairs``; that is the one scipy import left.
+in ``hierarchy.hdtrw_eigenpairs``; that is the one scipy import left. No
+module reaches for a private name of ``hierarchy`` or ``quantum``: private
+helpers shared across the tuple lattice live in ``spectral``.
 """
 
 import ast
@@ -53,3 +55,37 @@ def test_import_loads_no_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+PRIVATE_SOURCES = ("hierarchy", "quantum")
+
+
+def _private_imports(source: str) -> list[str]:
+    """Every underscore name ``source`` takes from ``hierarchy`` or ``quantum``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] in PRIVATE_SOURCES):
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in PRIVATE_SOURCES and node.attr.startswith("_")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("from .hierarchy import DENSE_CAP, _apply_register", ["hierarchy._apply_register"]),
+    ("from hierwalk.quantum import _laws", ["hierwalk.quantum._laws"]),
+    ("from . import quantum\nx = quantum._kbar_table", ["quantum._kbar_table"]),
+    ("from .spectral import _tuple_table", []),
+    ("from .hierarchy import build_hdtrw", []),
+    ("def f():\n    from .quantum import _branch_laws", ["quantum._branch_laws"]),
+])
+def test_private_import_scan_sees_every_form(line, expected):
+    assert _private_imports(line) == expected
+
+
+def test_no_module_takes_private_names_from_hierarchy_or_quantum():
+    found = {p.name: _private_imports(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {"cli.py", "quantum.py", "hierarchy.py"} <= set(found)
+    assert {name: names for name, names in found.items() if names} == {}

@@ -1,10 +1,10 @@
 """Time-grid laws and the simulate CSV writer.
 
 A 1-D time grid given to the kbar laws, to ``factorized_distribution`` and
-to the general ``joint_distribution`` must give the same laws as one scalar
-call per time. The CSV writer must
-give the same bytes as the per-row writer it replaced, kept here as the
-reference.
+to the general ``joint_distribution`` must give, bit for bit, the laws of
+one scalar call per time. The CSV writer must give the same bytes as the
+per-row writer it replaced, kept here as the reference, and ``simulate``
+must write for each time the rows a one-time scenario writes.
 """
 
 import json
@@ -17,7 +17,6 @@ from hierwalk.cli import Scenario, _csv_text, main
 
 Q3 = np.array([0.2, 0.3, 0.5])
 Q4 = np.array([0.1, 0.2, 0.3, 0.4])
-LAW_TOL = 1e-15
 
 
 def _reference_csv(dims, times, probabilities) -> str:
@@ -73,8 +72,7 @@ def _assert_grid_matches_scalars(law, grid):
         assert isinstance(ref, hw.JointDistribution)
         assert dist.time == ref.time and dist.formula == ref.formula
         assert dist.probabilities.shape == ref.probabilities.shape
-        np.testing.assert_allclose(dist.probabilities, ref.probabilities,
-                                   rtol=0, atol=LAW_TOL)
+        np.testing.assert_array_equal(dist.probabilities, ref.probabilities)
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
@@ -200,26 +198,46 @@ def _pairs(v):
     return [[float(z.real), float(z.imag)] for z in v]
 
 
-@pytest.mark.parametrize("name", CLI_MODELS)
-def test_cli_csv_matches_per_row_writer(tmp_path, name):
+def _scenario(name, times):
     mode, model = CLI_MODELS[name]
     rng = np.random.default_rng(12)
     dims = [g["vertices"] for g in model["locals"]]
-    n_global = len(dims)
-    data = {"model": model, "mode": mode,
-            "psi_H": _pairs(hw.random_state(n_global, rng).amplitudes),
+    return {"model": model, "mode": mode,
+            "psi_H": _pairs(hw.random_state(len(dims), rng).amplitudes),
             "psi_locals": [_pairs(hw.random_state(n, rng).amplitudes) for n in dims],
-            "times": [0.1, 2.0, 0.0, 2.0]}
-    path = tmp_path / "scenario.json"
+            "times": times}
+
+
+def _simulate_csv(tmp_path, data, tag) -> bytes:
+    path = tmp_path / f"{tag}.json"
     path.write_text(json.dumps(data))
-    assert main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / tag)]) == 0
+    return (tmp_path / tag / "distributions.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", CLI_MODELS)
+def test_cli_csv_matches_per_row_writer(tmp_path, name):
+    data = _scenario(name, [0.1, 2.0, 0.0, 2.0])
+    written = _simulate_csv(tmp_path, data, "out")
     # the arrays the CLI formats, computed from the same parsed scenario
     scn = Scenario(data, tmp_path)
-    if mode == "kbar":
+    if data["mode"] == "kbar":
         laws = hw.kbar_joint_distribution(scn.q, scn.local_systems(), scn.times,
                                           scn.psi_global, scn.psi_locals)
     else:
         assembly = hw.assemble_hamiltonian(scn.global_hamiltonian(), scn.local_systems())
-        laws = hw.joint_distribution(assembly, scn.times, scn.psi_global, scn.psi_locals)
-    expected = _reference_csv(tuple(dims), scn.times, [d.probabilities for d in laws])
-    assert (tmp_path / "out" / "distributions.csv").read_bytes() == expected.encode()
+        laws = [hw.joint_distribution(assembly, t, scn.psi_global, scn.psi_locals)
+                for t in scn.times]
+    dims = tuple(g["vertices"] for g in data["model"]["locals"])
+    assert written == _reference_csv(dims, scn.times, [d.probabilities for d in laws]).encode()
+
+
+@pytest.mark.parametrize("name", ["kbar, 4 registers", "general, 1 register"])
+def test_cli_rows_of_a_time_do_not_depend_on_the_grid(tmp_path, name):
+    times = [0.7, 3.1, 0.0]
+    header, *rows = _simulate_csv(tmp_path, _scenario(name, times), "grid").splitlines()
+    per_time = len(rows) // len(times)
+    for i, t in enumerate(times):
+        alone_header, *alone = _simulate_csv(tmp_path, _scenario(name, [t]), f"t{i}").splitlines()
+        assert alone_header == header
+        assert rows[i * per_time:(i + 1) * per_time] == alone

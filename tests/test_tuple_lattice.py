@@ -7,8 +7,11 @@ once; stacked solves run the same LAPACK routine on the same matrices, so
 those outputs must agree bit for bit, dtypes included. The walk operators
 keep their earlier references too: the selector-times-lifted-local ``kron``
 sums (with scipy's ``expm`` semigroups) and the oracle's nested entry loop.
+So do the joint laws: the general law added one branch at a time, and the
+kbar amplitudes contracted with the time grid folded into one ``tensordot``.
 """
 
+import functools
 import itertools
 import warnings
 
@@ -17,7 +20,7 @@ import pytest
 from scipy.linalg import expm, qr
 
 import hierwalk as hw
-from hierwalk import oracle
+from hierwalk import hierarchy, oracle
 from hierwalk.errors import DimensionCapExceeded, NegativeLocalEigenvalue, NegativeWeight
 from hierwalk.hierarchy import _apply_selected, _semigroups
 from hierwalk.spectral import GROUPING_TOL
@@ -193,6 +196,52 @@ def _ref_kbar(q, systems, tol=GROUPING_TOL):
     return np.array(vectors), tuple(branches), np.array(rates)
 
 
+def _ref_contract_lattice(coeff, mats):
+    """The earlier contraction: leading axes folded into the columns of one tensordot."""
+    lead = coeff.ndim - len(mats)
+    for j, W in enumerate(mats):
+        coeff = np.moveaxis(np.tensordot(W, coeff, axes=([1], [lead + j])), 0, lead + j)
+    return coeff
+
+
+def _ref_overlap_matrices(systems, psis):
+    return [s.vectors * (s.vectors.conj().T @ p.amplitudes)[None, :]
+            for s, p in zip(systems, psis)]
+
+
+def _ref_joint_distribution(assembly, times, psi_g, psis):
+    """The earlier general law: one branch at a time added onto the product law."""
+    times = np.asarray(times, dtype=float)
+    d1, dims = assembly.branching, assembly.local_dims
+    W = _ref_overlap_matrices(assembly.local_systems, psis)
+    overlaps = np.einsum("iam,a->mi", assembly.block_vectors.conj(), psi_g.amplitudes)
+    phases = np.exp(1j * np.multiply.outer(times, assembly.block_values.T))
+    phased = _ref_contract_lattice((overlaps * phases).reshape((len(times), d1, *dims)), W)
+    plain = _ref_contract_lattice(overlaps.reshape((d1, *dims)), W)
+    prob = np.empty((len(times), *dims))
+    prob[...] = np.abs(functools.reduce(np.multiply.outer, [p.amplitudes for p in psis])) ** 2
+    for m in range(d1):
+        prob += np.abs(phased[:, m]) ** 2
+        prob -= np.abs(plain[m]) ** 2
+    return prob
+
+
+def _ref_kbar_laws(q, systems, times, psi_g, psis):
+    """The earlier kbar branch amplitudes; returns the three-term and operator-split laws."""
+    times = np.asarray(times, dtype=float)
+    dims = tuple(s.dimension for s in systems)
+    spec = hw.kbar_spec(q, systems)
+    W = _ref_overlap_matrices(systems, psis)
+    a = (spec.vectors @ psi_g.amplitudes).reshape(dims)
+    phases = np.exp(1j * np.multiply.outer(times, spec.rates)).reshape((len(times), *dims))
+    phased = _ref_contract_lattice(a * phases, W)
+    plain = _ref_contract_lattice(a, W)
+    middle = functools.reduce(np.multiply.outer, [np.abs(p.amplitudes) ** 2 for p in psis])
+    identity_amp = _ref_contract_lattice(np.ones(dims, dtype=complex), W)
+    return (np.abs(phased) ** 2 + middle - np.abs(plain) ** 2,
+            np.abs(identity_amp) ** 2 + np.abs(phased) ** 2 - np.abs(plain) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
@@ -359,6 +408,18 @@ def test_build_hctrw_matches_kron_expm_reference(model):
                                rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("width", [1, 7, 100])
+def test_dense_builders_in_column_blocks_match_one_block(monkeypatch, width):
+    # each entry is a single product, so the column blocking cannot move a bit
+    model = _path_p5c3c5()
+    times = [0.4, 1.1, 2.0]
+    whole = (hw.build_hdtrw(model), hw.build_hdtrw(model, "source"), hw.build_hctrw(model, times))
+    monkeypatch.setattr(hierarchy, "_DENSE_BLOCK", width)
+    blocked = (hw.build_hdtrw(model), hw.build_hdtrw(model, "source"), hw.build_hctrw(model, times))
+    for a, b in zip(whole, blocked):
+        _assert_identical(a, b)
+
+
 @pytest.mark.parametrize("convention", ["destination", "source"])
 def test_oracle_dense_hdtrw_matches_nested_loops(model, convention):
     P_H = model.global_walk.graph.transition
@@ -434,6 +495,62 @@ def test_kbar_laws_match_per_tuple_coefficients():
         np.testing.assert_allclose(split.probabilities,
                                    np.abs(contract(ones)) ** 2 + phased - plain,
                                    rtol=0, atol=1e-14)
+
+
+def _law_inputs(model, seed):
+    rng = np.random.default_rng(seed)
+    psi_g = hw.random_state(model.branching, rng)
+    return psi_g, [hw.random_state(n, rng) for n in model.local_dims]
+
+
+def _three_laws(model, psi_g, psis):
+    """The general, three-term and operator-split laws as functions of t."""
+    systems = _systems(model)
+    q = model.global_walk.graph.measure
+    assembly = hw.assemble_hamiltonian(global_hamiltonian(model), systems)
+    return {
+        "general": lambda t: hw.joint_distribution(assembly, t, psi_g, psis),
+        "three-term": lambda t: hw.kbar_joint_distribution(q, systems, t, psi_g, psis),
+        "operator-split": lambda t: hw.operator_split_joint_distribution(q, systems, t,
+                                                                         psi_g, psis),
+    }
+
+
+LAW_TIMES = (0.0, 0.9, 3.3, -1.7)
+
+
+def test_kbar_laws_bit_identical_to_earlier_contraction(model):
+    # the three-term and operator-split laws are formulas in q and the local
+    # systems; the global walk's measure serves as q on every fixture
+    systems = _systems(model)
+    q = model.global_walk.graph.measure
+    psi_g, psis = _law_inputs(model, 21)
+    for t in LAW_TIMES:
+        three, split = _ref_kbar_laws(q, systems, [t], psi_g, psis)
+        _assert_identical(hw.kbar_joint_distribution(q, systems, t, psi_g, psis).probabilities,
+                          three[0])
+        _assert_identical(
+            hw.operator_split_joint_distribution(q, systems, t, psi_g, psis).probabilities,
+            split[0])
+
+
+def test_general_law_matches_per_branch_loop(model):
+    assembly = hw.assemble_hamiltonian(global_hamiltonian(model), _systems(model))
+    psi_g, psis = _law_inputs(model, 22)
+    ref = _ref_joint_distribution(assembly, LAW_TIMES, psi_g, psis)
+    for t, expected in zip(LAW_TIMES, ref):
+        law = hw.joint_distribution(assembly, t, psi_g, psis).probabilities
+        np.testing.assert_allclose(law, expected, rtol=0, atol=1e-15)
+
+
+def test_law_at_a_time_is_the_same_bits_in_any_grid(model):
+    psi_g, psis = _law_inputs(model, 23)
+    grids = ([0.9], [0.9, 0.9], [0.0, 0.9, 0.0], [3.3, 0.9, -1.7, 0.9, 0.0, 2.2, 5.0])
+    for name, law in _three_laws(model, psi_g, psis).items():
+        alone = {t: law(t).probabilities for grid in grids for t in grid}
+        for grid in grids:
+            for t, dist in zip(grid, law(grid)):
+                assert np.array_equal(dist.probabilities, alone[t]), (name, grid, t)
 
 
 def test_kbar_negative_weight_still_raised():
