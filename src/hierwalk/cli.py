@@ -140,6 +140,8 @@ class Scenario:
         if self.p is not None and not 0.0 <= _number(self.p, "p") <= 1.0:
             raise _fail(f"p must lie in [0, 1], got {self.p}")
         self.grouping_tol = _number(data.get("tol", 1e-9), "tol")
+        if not (np.isfinite(self.grouping_tol) and self.grouping_tol >= 0.0):
+            raise _fail(f"tol must be finite and nonnegative, got {self.grouping_tol}")
         self.convention = convention_override or data.get("convention", "destination")
         if self.convention not in ("destination", "source"):
             raise _fail(f"unknown selection convention {self.convention!r}")
@@ -271,11 +273,10 @@ def _verify_evolution(scenario: Scenario, rng) -> list[dict]:
     direct = oracle.dense_hdtrw(P_H, local_Ps, scenario.convention)
     checks.append(_check("hdtrw:oracle-agreement", np.max(np.abs(P_G - direct)), 1e-12))
 
-    pairs = hdtrw_eigenpairs(model, scenario.convention)
-    worst = 0.0
-    for pair in pairs.pairs:
-        res = np.max(np.abs(P_G @ pair.vector - pair.value * pair.vector))
-        worst = max(worst, res / max(np.max(np.abs(pair.vector)), 1e-300))
+    pairs = hdtrw_eigenpairs(model, scenario.convention).pairs
+    V = np.stack([pair.vector for pair in pairs], axis=1)
+    residuals = np.max(np.abs(P_G @ V - V * np.array([pair.value for pair in pairs])), axis=0)
+    worst = np.max(residuals / np.maximum(np.max(np.abs(V), axis=0), 1e-300))
     checks.append(_check("hdtrw:eigen-residual", worst, 1e-8))
 
     worst_rec = 0.0

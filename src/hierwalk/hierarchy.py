@@ -33,19 +33,11 @@ from .errors import (
     NotReversible,
 )
 from .graphs import GraphModel, normalized_laplacian, prepare_walk, verify_detailed_balance
-from .spectral import (
-    EigenSystem,
-    TransitionSpectrum,
-    _eigh_stack,
-    _khatri_rao,
-    _tuple_table,
-    eigh,
-    transition_spectrum,
-)
+from .spectral import (EigenSystem, TransitionSpectrum, _apply_blocks, _eigh_stack, _materialize,
+                       _outer_product, _tuple_table, eigh, transition_spectrum)
 
 DENSE_CAP = 4096
 DEFECT_TOL = 1e-8
-_DENSE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -169,13 +161,8 @@ def _dense_walk(model: HierarchicalModel, convention: str, cap: int, times=None)
     for j, A in enumerate(local_mats):
         if A is None:
             raise MissingTransition(f"local graph {j} has no transition matrix")
-    N = model.dimension
-    out = np.empty((N, N))
-    for start in range(0, N, _DENSE_BLOCK):  # identity columns in blocks cap the memory
-        block = np.eye(N, min(_DENSE_BLOCK, N - start), -start)
-        out[:, start:start + block.shape[1]] = _apply_selected(P_H, local_mats, block,
-                                                              model.local_dims, convention)
-    return out
+    return _materialize(lambda x: _apply_selected(P_H, local_mats, x, model.local_dims,
+                                                  convention), model.dimension, float)
 
 
 def build_hdtrw(model: HierarchicalModel, convention: str = "destination",
@@ -200,12 +187,17 @@ def apply_hdtrw(model: HierarchicalModel, x: np.ndarray,
 
 @dataclass(frozen=True)
 class HdtrwEigenpair:
-    """One eigenpair of the discrete-time walk, tagged by its tuple block."""
+    """One eigenpair of the walk, stored factored; ``vector`` is built on every access."""
 
     value: complex
-    vector: np.ndarray
+    block_vector: np.ndarray
+    local_vectors: tuple
     labels: tuple
     block_index: int
+
+    @property
+    def vector(self) -> np.ndarray:
+        return np.multiply.outer(self.block_vector, _outer_product(self.local_vectors)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -238,7 +230,6 @@ def hdtrw_eigenpairs(model: HierarchicalModel, convention: str = "destination",
     # a stacked eig is complex for the whole stack once one block is; blocks
     # with a real spectrum go back to the real output a lone eig would give
     real = np.all(w.imag == 0, axis=1)
-    local_factors = _khatri_rao([loc.spectrum.right_vectors for loc in model.locals])
     pairs = []
     defective = []
     for i, labels in enumerate(np.ndindex(*model.local_dims)):
@@ -250,11 +241,10 @@ def hdtrw_eigenpairs(model: HierarchicalModel, convention: str = "destination",
             _, R, piv = qr(Wi, pivoting=True)
             rank = int(np.sum(np.abs(np.diag(R)) > defect_tol * max(1.0, abs(R[0, 0]))))
             keep = sorted(piv[:rank])
-        # row k is kron(Wi[:, keep[k]], local factor of tuple i)
-        vectors = (Wi[:, keep].T[:, :, None] * local_factors[:, i]).reshape(len(keep), -1)
-        for m, vector in zip(keep, vectors):
-            pairs.append(HdtrwEigenpair(value=complex(wi[m]), vector=vector, labels=labels,
-                                        block_index=int(m)))
+        factors = tuple(loc.spectrum.right_vectors[:, k] for loc, k in zip(model.locals, labels))
+        pairs += [HdtrwEigenpair(value=complex(wi[m]), block_vector=Wi[:, m],
+                                 local_vectors=factors, labels=labels, block_index=int(m))
+                  for m in keep]
     return HdtrwEigenpairs(pairs=tuple(pairs), defective_blocks=tuple(defective))
 
 
@@ -346,9 +336,9 @@ def hctrw_spectral(model: HierarchicalModel, times) -> DeformedSpectrum:
 
 def reconstruct_hctrw(model: HierarchicalModel, spectrum: DeformedSpectrum) -> np.ndarray:
     """Assemble the dense deformed matrix from its blockwise decomposition."""
-    columns = [np.ravel_multi_index(block.labels, model.local_dims) for block in spectrum.blocks]
-    right = _khatri_rao([loc.spectrum.right_vectors for loc in model.locals])[:, columns]
-    left = _khatri_rao([loc.spectrum.left_vectors.T for loc in model.locals])[:, columns]
-    parts = np.stack([(block.right * block.values) @ block.left for block in spectrum.blocks])
-    out = np.einsum("iab,ri,si->arbs", parts, right, left, optimize=True)
-    return out.reshape(model.dimension, model.dimension)
+    parts = np.zeros((model.local_dimension, model.branching, model.branching))
+    parts[[np.ravel_multi_index(block.labels, model.local_dims) for block in spectrum.blocks]] = [
+        (block.right * block.values) @ block.left for block in spectrum.blocks]
+    rows, cols = zip(*((loc.spectrum.right_vectors, loc.spectrum.left_vectors)
+                       for loc in model.locals))
+    return _materialize(lambda x: _apply_blocks(parts, rows, cols, x), model.dimension, float)

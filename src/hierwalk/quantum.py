@@ -46,7 +46,8 @@ from .errors import (
 )
 from .graphs import GraphModel
 from .hierarchy import DENSE_CAP, walk_spectral_data
-from .spectral import GROUPING_TOL, EigenSystem, _eigh_stack, _khatri_rao, _tuple_table, eigh
+from .spectral import (GROUPING_TOL, EigenSystem, _apply_blocks, _contract_lattice, _eigh_stack,
+                       _materialize, _outer_product, _tuple_table, eigh)
 
 NORM_TOL = 1e-12
 MASS_TOL = 1e-9
@@ -154,11 +155,14 @@ class HamiltonianAssembly:
         """Materialize the full Hamiltonian; refuses above the dimension cap."""
         if self.dimension > cap:
             raise DimensionCapExceeded(f"dimension {self.dimension} exceeds cap {cap}")
+        return _materialize(lambda x: self._apply(self.block_values, x), self.dimension, complex)
+
+    def _apply(self, diagonals: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Apply sum_T V_T diag(diagonals[T]) V_T^H (x) (tuple T's local projector) to x."""
         V = self.block_vectors
-        blocks = (V * self.block_values[:, None, :]) @ V.conj().swapaxes(1, 2)
-        K = _khatri_rao([s.vectors for s in self.local_systems])
-        out = np.einsum("iab,ri,si->arbs", blocks, K, K.conj(), optimize=True)
-        return out.reshape(self.dimension, self.dimension)
+        blocks = (V * diagonals[:, None, :]) @ V.conj().swapaxes(1, 2)
+        return _apply_blocks(blocks, [s.vectors for s in self.local_systems],
+                             [s.vectors.conj().T for s in self.local_systems], x)
 
 
 def assemble_hamiltonian(global_ham: np.ndarray, local_systems,
@@ -205,53 +209,13 @@ def evolve(assembly: HamiltonianAssembly, t: float, psi: QuantumState) -> Quantu
     if psi.dimension != assembly.dimension:
         raise DimensionMismatch(f"state has dimension {psi.dimension}, "
                                 f"assembly expects {assembly.dimension}")
-    d1 = assembly.branching
-    dims = assembly.local_dims
-    # Rotate each local register into its eigenbasis.
-    field = _contract_lattice(psi.amplitudes.reshape((d1, *dims)),
-                              [s.vectors.conj().T for s in assembly.local_systems])
-    flat = field.reshape(d1, -1)
-    phases = np.exp(1j * t * assembly.block_values)
-    rotated = np.einsum("lam,lm,lbm,bl->al",
-                        assembly.block_vectors, phases,
-                        assembly.block_vectors.conj(), flat)
-    field = _contract_lattice(rotated.reshape((d1, *dims)),
-                              [s.vectors for s in assembly.local_systems])
     # unitarity keeps the norm; QuantumState's validation would flag drift
-    return QuantumState(field.reshape(-1))
+    return QuantumState(assembly._apply(np.exp(1j * t * assembly.block_values), psi.amplitudes))
 
 
 # ---------------------------------------------------------------------------
 # Joint distributions
 # ---------------------------------------------------------------------------
-
-def _contract_lattice(coeff: np.ndarray, mats) -> np.ndarray:
-    """Contract the trailing tuple-lattice axes of ``coeff`` with one matrix each.
-
-    Axes in front of the lattice (times, branches, or the global register)
-    form a batch: every entry gets a product of one fixed shape, so its
-    result does not depend on how many entries share the call.
-    """
-    lattice = coeff.shape[coeff.ndim - len(mats):]
-    size = int(np.prod(lattice))
-    out = coeff.reshape((-1, *lattice))
-    for j, W in enumerate(mats):
-        moved = np.moveaxis(out, j + 1, 1)
-        # cast here, keeping W's layout: matmul's own cast copies a transposed W
-        # to C order, and a one-column product then takes another BLAS path
-        W = W.astype(np.result_type(W, out), copy=False)
-        rows = W @ moved.reshape(len(out), lattice[j], size // lattice[j])
-        out = np.moveaxis(rows.reshape(moved.shape), 1, j + 1)
-    return out.reshape(coeff.shape)
-
-
-def _outer_product(vectors) -> np.ndarray:
-    """Tensor product of one vector per register, shaped like the position lattice."""
-    out = np.ones(1)
-    for v in vectors:
-        out = np.multiply.outer(out, v)
-    return out.reshape(tuple(len(v) for v in vectors))
-
 
 def _time_grid(t) -> tuple[np.ndarray, bool]:
     """A time or a 1-D grid of times as a 1-D array, and whether ``t`` was a scalar."""

@@ -171,12 +171,56 @@ def _tuple_table(columns) -> np.ndarray:
     return table.reshape(-1, d)
 
 
-def _khatri_rao(mats) -> np.ndarray:
-    """Column i is the Kronecker product of column ``labels_i[j]`` of every ``mats[j]``."""
-    out = np.ones((1, 1))
-    for M in mats:
-        out = (out[:, None, :, None] * M[None, :, None, :]).reshape(
-            out.shape[0] * M.shape[0], out.shape[1] * M.shape[1])
+def _contract_lattice(coeff: np.ndarray, mats) -> np.ndarray:
+    """Contract the trailing tuple-lattice axes of ``coeff`` with one matrix each.
+
+    Axes in front of the lattice (times, branches, or the global register)
+    form a batch: every entry gets a product of one fixed shape, so its
+    result does not depend on how many entries share the call.
+    """
+    lattice = coeff.shape[coeff.ndim - len(mats):]
+    size = int(np.prod(lattice))
+    out = coeff.reshape((-1, *lattice))
+    for j, W in enumerate(mats):
+        moved = np.moveaxis(out, j + 1, 1)
+        # cast here, keeping W's layout: matmul's own cast copies a transposed W
+        # to C order, and a one-column product then takes another BLAS path
+        W = W.astype(np.result_type(W, out), copy=False)
+        rows = W @ moved.reshape(len(out), lattice[j], size // lattice[j])
+        out = np.moveaxis(rows.reshape(moved.shape), 1, j + 1)
+    return out.reshape(coeff.shape)
+
+
+def _outer_product(vectors) -> np.ndarray:
+    """Tensor product of one vector per register, shaped like the position lattice."""
+    out = np.ones(1)
+    for v in vectors:
+        out = np.multiply.outer(out, v)
+    return out.reshape(tuple(len(v) for v in vectors))
+
+
+def _apply_blocks(blocks: np.ndarray, rows, cols, x: np.ndarray) -> np.ndarray:
+    """Apply sum_T blocks[T] (x) (x)_j rows[j][:, T_j] cols[j][T_j, :] to x, (N,) or (N, k).
+
+    ``blocks`` is the ``(count, d1, d1)`` stack in tuple order; no Kronecker factor is formed.
+    """
+    d1 = blocks.shape[-1]
+    stack = x.reshape(len(x), -1).T.reshape((-1, d1, *(len(r) for r in rows)))
+    coeff = _contract_lattice(stack, cols).reshape(len(stack), d1, -1)
+    coeff = np.matmul(blocks, coeff.transpose(2, 1, 0)).transpose(2, 1, 0)
+    out = _contract_lattice(coeff.reshape(stack.shape), rows)
+    return out.reshape(len(stack), -1).T.reshape(x.shape)
+
+
+_DENSE_BLOCK = 512
+
+
+def _materialize(apply, n: int, dtype) -> np.ndarray:
+    """The matrix of a linear ``apply``, written from blocks of identity columns to cap memory."""
+    out = np.empty((n, n), dtype=dtype)
+    for start in range(0, n, _DENSE_BLOCK):
+        block = np.eye(n, min(_DENSE_BLOCK, n - start), -start)
+        out[:, start:start + block.shape[1]] = apply(block)
     return out
 
 

@@ -178,6 +178,21 @@ class TestBadScalars:
     def test_non_numeric_tol(self, tmp_path, capsys):
         self.run(tmp_path, capsys, tol=[1e-9])
 
+    @pytest.mark.parametrize("source", ["flag", "json"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_nonfinite_or_negative_tol(self, tmp_path, capsys, tol, source):
+        # NaN or inf would turn every kbar tuple "uniform"; a negative tol would misreport weights
+        data = json.loads((REPO_ROOT / "scenarios" / "reference.json").read_text())
+        flags = ["--tol", tol] if source == "flag" else []
+        if source == "json":
+            data["tol"] = float(tol)
+        scen = write_scenario(tmp_path, data)
+        rc = main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path / "out"),
+                   *flags])
+        assert rc == 2
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestVerify:
     def test_all_suites_pass_on_reference(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,23 @@ class TestHdtrwEigenpairs:
             for pair in result.pairs:
                 res = np.max(np.abs(P @ pair.vector - pair.value * pair.vector))
                 assert res <= 1e-8 * np.max(np.abs(pair.vector)), (name, pair.labels)
+
+    def test_pairs_are_stored_factored(self):
+        """Each pair keeps its block vector and shared local factors; the
+        length-N vector is built on access, so N dense vectors never coexist."""
+        model = hw.hierarchical_model(hw.kbar_graph([0.2, 0.3, 0.5]),
+                                      [hw.cycle_graph(8), hw.path_graph(8), hw.cycle_graph(8)])
+        tracemalloc.start()
+        try:
+            result = hw.hdtrw_eigenpairs(model)
+            for pair in result.pairs:
+                assert pair.vector.shape == (model.dimension,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = len(result.pairs) * model.dimension * np.dtype(float).itemsize
+        assert model.dimension == 1536
+        assert peak < dense / 4, (peak, dense)
 
     def test_count_complete_when_diagonalizable(self):
         model = hw.hierarchical_model(hw.kbar_graph([0.3, 0.7]),

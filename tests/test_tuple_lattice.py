@@ -8,7 +8,9 @@ those outputs must agree bit for bit, dtypes included. The walk operators
 keep their earlier references too: the selector-times-lifted-local ``kron``
 sums (with scipy's ``expm`` semigroups) and the oracle's nested entry loop.
 So do the joint laws: the general law added one branch at a time, and the
-kbar amplitudes contracted with the time grid folded into one ``tensordot``.
+kbar amplitudes contracted with the time grid folded into one ``tensordot``;
+and ``evolve``, as one ``einsum`` over the block eigendata between two
+lattice contractions.
 """
 
 import functools
@@ -20,10 +22,10 @@ import pytest
 from scipy.linalg import expm, qr
 
 import hierwalk as hw
-from hierwalk import hierarchy, oracle
+from hierwalk import oracle, spectral
 from hierwalk.errors import DimensionCapExceeded, NegativeLocalEigenvalue, NegativeWeight
 from hierwalk.hierarchy import _apply_selected, _semigroups
-from hierwalk.spectral import GROUPING_TOL
+from hierwalk.spectral import GROUPING_TOL, _contract_lattice
 
 from conftest import global_hamiltonian
 
@@ -82,6 +84,19 @@ def _ref_dense_hamiltonian(assembly):
             proj = np.kron(proj, np.outer(v, v.conj()))
         out += np.kron(block, proj)
     return out
+
+
+def _ref_evolve(assembly, t, psi):
+    """The earlier evolve: the block phases applied by one einsum in the label basis."""
+    d1, dims = assembly.branching, assembly.local_dims
+    field = _contract_lattice(psi.amplitudes.reshape((d1, *dims)),
+                              [s.vectors.conj().T for s in assembly.local_systems])
+    phases = np.exp(1j * t * assembly.block_values)
+    rotated = np.einsum("lam,lm,lbm,bl->al", assembly.block_vectors, phases,
+                        assembly.block_vectors.conj(), field.reshape(d1, -1))
+    field = _contract_lattice(rotated.reshape((d1, *dims)),
+                              [s.vectors for s in assembly.local_systems])
+    return field.reshape(-1)
 
 
 def _ref_hctrw_spectral(model, times):
@@ -410,14 +425,34 @@ def test_build_hctrw_matches_kron_expm_reference(model):
 
 @pytest.mark.parametrize("width", [1, 7, 100])
 def test_dense_builders_in_column_blocks_match_one_block(monkeypatch, width):
-    # each entry is a single product, so the column blocking cannot move a bit
+    # each walk entry is a single product, so the column blocking cannot move
+    # a bit; the tuple-basis operators batch their contractions by block width
     model = _path_p5c3c5()
     times = [0.4, 1.1, 2.0]
-    whole = (hw.build_hdtrw(model), hw.build_hdtrw(model, "source"), hw.build_hctrw(model, times))
-    monkeypatch.setattr(hierarchy, "_DENSE_BLOCK", width)
-    blocked = (hw.build_hdtrw(model), hw.build_hdtrw(model, "source"), hw.build_hctrw(model, times))
-    for a, b in zip(whole, blocked):
+    assembly = hw.assemble_hamiltonian(global_hamiltonian(model), _systems(model))
+    spectrum = hw.hctrw_spectral(model, times)
+
+    def build():
+        return ((hw.build_hdtrw(model), hw.build_hdtrw(model, "source"),
+                 hw.build_hctrw(model, times)),
+                (assembly.dense_hamiltonian(), hw.reconstruct_hctrw(model, spectrum)))
+
+    walks, tuple_ops = build()
+    monkeypatch.setattr(spectral, "_DENSE_BLOCK", width)
+    blocked_walks, blocked_tuple_ops = build()
+    for a, b in zip(walks, blocked_walks):
         _assert_identical(a, b)
+    for a, b in zip(tuple_ops, blocked_tuple_ops):
+        assert a.dtype == b.dtype
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+
+
+def test_evolve_matches_earlier_einsum(model):
+    assembly = hw.assemble_hamiltonian(global_hamiltonian(model), _systems(model))
+    psi = hw.random_state(assembly.dimension, np.random.default_rng(24))
+    for t in LAW_TIMES:
+        np.testing.assert_allclose(hw.evolve(assembly, t, psi).amplitudes,
+                                   _ref_evolve(assembly, t, psi), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("convention", ["destination", "source"])
